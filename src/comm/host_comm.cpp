@@ -10,11 +10,19 @@ namespace nicwarp::comm {
 HostComm::HostComm(hw::Node& node, CommOptions opts)
     : node_(node),
       opts_(opts),
-      stats_(node.stats()),
       trace_(node.trace()),
       latency_(node.latency()),
       pool_(node.pool()),
-      window_(node.cost().mpi_credit_window) {
+      window_(node.cost().mpi_credit_window),
+      credit_stalls_(node.stats(), "comm.credit_stalls"),
+      nic_backpressure_(node.stats(), "comm.nic_backpressure"),
+      credit_clamped_(node.stats(), "comm.credit_clamped"),
+      credit_msgs_(node.stats(), "comm.credit_msgs"),
+      seq_gaps_(node.stats(), "comm.seq_gaps"),
+      credit_resync_exhausted_(node.stats(), "comm.credit_resync_exhausted"),
+      credit_resyncs_(node.stats(), "comm.credit_resyncs"),
+      credit_clamped_refund_(node.stats(), "comm.credit_clamped_refund"),
+      credits_refunded_(node.stats(), "comm.credits_refunded") {
   tx_.resize(node.world_size());
   rx_.resize(node.world_size());
   node_.set_raw_rx([this](hw::PacketRef ref) { on_raw_rx(ref); });
@@ -96,7 +104,7 @@ void HostComm::send_ref(hw::PacketRef ref) {
       }
       ch.credit_waiting.push_back(ref);
       if (ch.stall_since == SimTime::max()) ch.stall_since = node_.engine().now();
-      stats_.counter("comm.credit_stalls").add(1);
+      credit_stalls_.add(1);
       if (node_.entity().enabled()) {
         node_.entity().record_credit_stall(node_.id());
         node_.entity().note_link_queue_depth(node_.id(), pkt.hdr.dst,
@@ -123,7 +131,7 @@ void HostComm::dispatch(hw::PacketRef ref) {
     node_.dma_to_nic(ref);
   } else {
     nic_waiting_.push_back(ref);
-    stats_.counter("comm.nic_backpressure").add(1);
+    nic_backpressure_.add(1);
   }
 }
 
@@ -161,7 +169,7 @@ void HostComm::grant_credits(NodeId src, std::int64_t n) {
   ch.credits += n;
   ch.granted_total += n;
   if (ch.credits > window_) {
-    stats_.counter("comm.credit_clamped").add(ch.credits - window_);
+    credit_clamped_.add(ch.credits - window_);
     ch.clamped_total += ch.credits - window_;
     ch.credits = window_;  // clamp against repair races
   }
@@ -184,7 +192,7 @@ void HostComm::send_credit_update(NodeId src) {
   cr.hdr.credits_pb = static_cast<std::uint32_t>(rxch.credits_owed);
   rxch.returned_total += rxch.credits_owed;
   rxch.credits_owed = 0;
-  stats_.counter("comm.credit_msgs").add(1);
+  credit_msgs_.add(1);
   if (trace_.enabled(TraceCat::kCredit)) {
     trace_.record({node_.engine().now(), VirtualTime::inf(), TraceCat::kCredit,
                    TracePoint::kCreditUpdateSent, false, node_.id(), src,
@@ -242,7 +250,7 @@ void HostComm::on_raw_rx(hw::PacketRef ref) {
       // place (early cancellation). Repair the sender's credit accounting.
       // Detection only: the credits themselves are refunded at the sender
       // (refund_credits), keeping the accounting exact.
-      stats_.counter("comm.seq_gaps").add(static_cast<std::int64_t>(gap));
+      seq_gaps_.add(static_cast<std::int64_t>(gap));
       if (trace_.enabled(TraceCat::kCredit)) {
         trace_.record({node_.engine().now(), VirtualTime::inf(), TraceCat::kCredit,
                        TracePoint::kSeqGap, false, node_.id(), src, kInvalidEvent,
@@ -292,10 +300,10 @@ void HostComm::check_stalls() {
         if (ch.resync_attempts >= node_.cost().credit_resync_max_retries) {
           // Bounded: give up on this channel and leave the evidence in the
           // stats rather than resyncing forever against a broken peer.
-          stats_.counter("comm.credit_resync_exhausted").add(1);
+          credit_resync_exhausted_.add(1);
           continue;
         }
-        stats_.counter("comm.credit_resyncs").add(1);
+        credit_resyncs_.add(1);
         if (trace_.enabled(TraceCat::kCredit)) {
           trace_.record({node_.engine().now(), VirtualTime::inf(), TraceCat::kCredit,
                          TracePoint::kCreditResync, false, node_.id(), dst,
@@ -355,11 +363,11 @@ void HostComm::refund_credits(NodeId dst, std::int64_t n) {
   ch.credits += n;
   ch.refunded_total += n;
   if (ch.credits > window_) {
-    stats_.counter("comm.credit_clamped_refund").add(ch.credits - window_);
+    credit_clamped_refund_.add(ch.credits - window_);
     ch.clamped_total += ch.credits - window_;
     ch.credits = window_;
   }
-  stats_.counter("comm.credits_refunded").add(n);
+  credits_refunded_.add(n);
   if (trace_.enabled(TraceCat::kCredit)) {
     trace_.record({node_.engine().now(), VirtualTime::inf(), TraceCat::kCredit,
                    TracePoint::kCreditRefund, false, node_.id(), dst, kInvalidEvent,

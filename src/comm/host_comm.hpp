@@ -144,7 +144,6 @@ class HostComm {
 
   hw::Node& node_;
   CommOptions opts_;
-  StatsRegistry& stats_;
   TraceRecorder& trace_;
   LatencyRecorder& latency_;
   hw::PacketPool& pool_;
@@ -159,6 +158,16 @@ class HostComm {
   std::function<void(hw::Packet)> deliver_;
   bool stall_probe_scheduled_{false};
   bool credit_timer_armed_{false};
+
+  CounterHandle credit_stalls_;  // comm.*, one handle per counter name
+  CounterHandle nic_backpressure_;
+  CounterHandle credit_clamped_;
+  CounterHandle credit_msgs_;
+  CounterHandle seq_gaps_;
+  CounterHandle credit_resync_exhausted_;
+  CounterHandle credit_resyncs_;
+  CounterHandle credit_clamped_refund_;
+  CounterHandle credits_refunded_;
 };
 
 }  // namespace nicwarp::comm

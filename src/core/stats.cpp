@@ -128,4 +128,10 @@ void StatsRegistry::merge_from(const StatsRegistry& other) {
   for (const auto& [k, h] : other.histograms_) histogram(k).merge(h);
 }
 
+void CounterHandle::resolve() {
+  NW_CHECK_MSG(stats_ != nullptr, "CounterHandle added before it was bound to a registry");
+  counter_ = *suffix_ == '\0' ? &stats_->counter(name_)
+                              : &stats_->counter(std::string(name_).append(suffix_));
+}
+
 }  // namespace nicwarp

@@ -83,8 +83,8 @@ class StatsRegistry {
   std::string to_string() const;
 
   // Zeroes every counter and histogram *in place* — registered names (and
-  // any Counter&/Histogram& a call site holds) stay valid, which is what
-  // per-round sampling and re-used testbeds need.
+  // any Counter&/Histogram& or resolved CounterHandle a call site holds)
+  // stay valid, which is what per-round sampling and re-used testbeds need.
   void reset();
 
   // Folds another registry in: counters are summed by name, histograms are
@@ -94,8 +94,44 @@ class StatsRegistry {
   void merge_from(const StatsRegistry& other);
 
  private:
+  // Map nodes never move, so a Counter& stays valid across later inserts.
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
+};
+
+// How per-event code records a counter. A handle is bound to a registry and
+// a name once, looks its Counter up on the first add() and adds to it
+// directly after that: no map lookup and no key string per event. It never
+// looks up earlier, so a name enters the registry exactly when
+// counter(name).add(v) at the same site would have put it there, and a handle
+// that is never added leaves its name out of every export and merge. The
+// resolved Counter stays valid across reset() and later inserts.
+class CounterHandle {
+ public:
+  CounterHandle() = default;
+  // The counter's name is `name` followed by `suffix`. Neither C string is
+  // copied, so both must outlive the handle: string literals, or a string
+  // its owner keeps. Binding allocates nothing. A testbed holds hundreds of
+  // handles and its set-up time grows with the memory it touches, hence two
+  // pointers here rather than two string_views.
+  CounterHandle(StatsRegistry& stats, const char* name, const char* suffix = "")
+      : stats_(&stats), name_(name), suffix_(suffix) {}
+
+  void add(std::int64_t v = 1) { counter().add(v); }
+
+  // The counter itself; registers the name on the first call.
+  Counter& counter() {
+    if (counter_ == nullptr) [[unlikely]] resolve();
+    return *counter_;
+  }
+
+ private:
+  void resolve();
+
+  Counter* counter_{nullptr};
+  StatsRegistry* stats_{nullptr};
+  const char* name_{nullptr};
+  const char* suffix_{nullptr};
 };
 
 }  // namespace nicwarp

@@ -5,6 +5,13 @@
 
 namespace nicwarp::firmware {
 
+void CancelFirmware::attach(hw::NicContext& ctx) {
+  Firmware::attach(ctx);
+  dropped_positive_ = CounterHandle(ctx.stats(), "cancel.dropped_positive");
+  filtered_anti_ = CounterHandle(ctx.stats(), "cancel.filtered_anti");
+  record_overflow_ = CounterHandle(ctx.stats(), "cancel.record_overflow");
+}
+
 ObjectId CancelFirmware::record_key(ObjectId obj) const {
   return opts_.lp_scope ? kInvalidObject : obj;
 }
@@ -42,7 +49,7 @@ bool CancelFirmware::record_drop(const hw::PacketHeader& hdr, EventId cause_anti
                                            hdr.color_epoch, hdr.recv_ts,
                                            /*negative=*/false, cause_anti});
   pending_dropped_pb_[hdr.dst] += 1;
-  ctx_->stats().counter("cancel.dropped_positive").add(1);
+  dropped_positive_.add(1);
   if (ctx_->trace().enabled(TraceCat::kCancel)) {
     // b = dooming anti (0 = unknown) so offline analysis can attribute the
     // saving to the cascade that earned it.
@@ -83,7 +90,7 @@ hw::Firmware::HookResult CancelFirmware::on_host_tx(hw::Packet& pkt) {
                                                  pkt.hdr.recv_ts, /*negative=*/true});
       }
       pending_dropped_pb_[pkt.hdr.dst] += 1;
-      ctx_->stats().counter("cancel.filtered_anti").add(1);
+      filtered_anti_.add(1);
       if (ctx_->trace().enabled(TraceCat::kCancel)) {
         ctx_->trace().record({ctx_->now(), pkt.hdr.recv_ts, TraceCat::kCancel,
                               TracePoint::kCancelFilterAnti, true, ctx_->node_id(),
@@ -161,7 +168,7 @@ SimTime CancelFirmware::scan_send_ring() {
                                                  p.hdr.recv_ts, true});
       }
       pending_dropped_pb_[p.hdr.dst] += 1;
-      ctx_->stats().counter("cancel.filtered_anti").add(1);
+      filtered_anti_.add(1);
       if (ctx_->trace().enabled(TraceCat::kCancel)) {
         ctx_->trace().record({ctx_->now(), p.hdr.recv_ts, TraceCat::kCancel,
                               TracePoint::kCancelFilterAnti, true, ctx_->node_id(),
@@ -195,7 +202,7 @@ hw::Firmware::HookResult CancelFirmware::on_net_rx(hw::Packet& pkt) {
       recs.push_back(AntiRecord{pkt.hdr.recv_ts, k, pkt.hdr.event_id});
       cost += scan_send_ring();
     } else {
-      ctx_->stats().counter("cancel.record_overflow").add(1);
+      record_overflow_.add(1);
     }
   }
   return {Action::kForward, cost};

@@ -46,6 +46,7 @@ class CancelFirmware : public hw::Firmware {
  public:
   explicit CancelFirmware(CancelFirmwareOptions opts = {}) : opts_(opts) {}
 
+  void attach(hw::NicContext& ctx) override;
   HookResult on_host_tx(hw::Packet& pkt) override;
   SimTime on_wire_tx(hw::Packet& pkt) override;
   HookResult on_net_rx(hw::Packet& pkt) override;
@@ -75,6 +76,10 @@ class CancelFirmware : public hw::Firmware {
   std::unordered_map<ObjectId, std::uint64_t> antis_delivered_;
   // Per-destination-node drop counts awaiting a dropped_pb ride.
   std::unordered_map<NodeId, std::uint32_t> pending_dropped_pb_;
+
+  CounterHandle dropped_positive_;  // cancel.*, one handle per counter name
+  CounterHandle filtered_anti_;
+  CounterHandle record_overflow_;
 };
 
 }  // namespace nicwarp::firmware

@@ -14,6 +14,13 @@ VirtualTime map_min(const std::map<std::uint32_t, VirtualTime>& m, std::uint32_t
 
 void GvtFirmware::attach(hw::NicContext& ctx) {
   Firmware::attach(ctx);
+  estimations_ = CounterHandle(ctx.stats(), "gvt.estimations");
+  rounds_ = CounterHandle(ctx.stats(), "gvt.rounds");
+  wire_tokens_ = CounterHandle(ctx.stats(), "gvt.wire_tokens");
+  tokens_piggybacked_ = CounterHandle(ctx.stats(), "gvt.tokens_piggybacked");
+  tokens_stale_ = CounterHandle(ctx.stats(), "gvt.tokens_stale");
+  token_regens_ = CounterHandle(ctx.stats(), "gvt.token_regens");
+  rebroadcasts_ = CounterHandle(ctx.stats(), "gvt.rebroadcasts");
   last_completion_ = ctx.now();
   // Housekeeping timer: handshake watch, piggyback deadline, root initiation.
   ctx.schedule(SimTime::from_us(opts_.poll_interval_us), [this] { return poll(); });
@@ -59,7 +66,7 @@ SimTime GvtFirmware::initiate() {
   estimating_ = true;
   events_base_ = ctx_->mailbox().events_processed;
   last_est_activity_ = ctx_->now();
-  ctx_->stats().counter("gvt.estimations").add(1);
+  estimations_.add(1);
   if (ctx_->trace().enabled(TraceCat::kGvt)) {
     ctx_->trace().record({ctx_->now(), VirtualTime::zero(), TraceCat::kGvt,
                           TracePoint::kGvtInitiate, false, ctx_->node_id(),
@@ -91,7 +98,7 @@ SimTime GvtFirmware::maybe_regenerate() {
   // estimate can only be delayed, never unsafely high. The root initiates
   // every epoch, so epoch_ + 1 is globally fresh and any straggler copy of
   // the old token dies at the first NIC that has seen the new one.
-  ctx_->stats().counter("gvt.token_regens").add(1);
+  token_regens_.add(1);
   if (ctx_->trace().enabled(TraceCat::kGvt)) {
     ctx_->trace().record({ctx_->now(), VirtualTime::zero(), TraceCat::kGvt,
                           TracePoint::kGvtTokenRegen, false, ctx_->node_id(),
@@ -111,7 +118,7 @@ SimTime GvtFirmware::maybe_rebroadcast() {
   const SimTime interval = ctx_->cost().us(ctx_->cost().gvt_rebroadcast_us);
   if (ctx_->now() - last_rebroadcast_ < interval) return SimTime::zero();
   last_rebroadcast_ = ctx_->now();
-  ctx_->stats().counter("gvt.rebroadcasts").add(1);
+  rebroadcasts_.add(1);
   for (NodeId n = 0; n < ctx_->world_size(); ++n) {
     if (n == ctx_->node_id()) continue;
     hw::Packet pkt;
@@ -136,7 +143,7 @@ SimTime GvtFirmware::handle_token(const hw::GvtFields& token) {
       (token.epoch == last_handled_epoch_ &&
        static_cast<std::int64_t>(token.round) > last_handled_round_);
   if (!fresh) {
-    ctx_->stats().counter("gvt.tokens_stale").add(1);
+    tokens_stale_.add(1);
     if (ctx_->trace().enabled(TraceCat::kGvt)) {
       ctx_->trace().record({ctx_->now(), token.t, TraceCat::kGvt,
                             TracePoint::kGvtTokenStale, false, ctx_->node_id(),
@@ -148,11 +155,11 @@ SimTime GvtFirmware::handle_token(const hw::GvtFields& token) {
   // A newer epoch supersedes whatever older token this NIC still holds or
   // has queued for forwarding (the root abandoned that estimation).
   if (held_token_ && held_token_->epoch < token.epoch) {
-    ctx_->stats().counter("gvt.tokens_stale").add(1);
+    tokens_stale_.add(1);
     held_token_.reset();
   }
   if (out_token_ && out_token_->epoch < token.epoch) {
-    ctx_->stats().counter("gvt.tokens_stale").add(1);
+    tokens_stale_.add(1);
     out_token_.reset();
   }
   NW_CHECK_MSG(!held_token_, "second GVT token while one is held (ring protocol broken)");
@@ -249,7 +256,7 @@ SimTime GvtFirmware::dispatch_token(hw::GvtFields token) {
 
   // A circulation completed (the root's own contribution was folded in by
   // resolve_handshake — a root sighting is both a return and a visit).
-  ctx_->stats().counter("gvt.rounds").add(1);
+  rounds_.add(1);
   if (token.white_count != 0) {
     token.round += 1;
     NW_CHECK_MSG(token.round < 1000000, "NIC GVT counting never converges");
@@ -268,7 +275,7 @@ void GvtFirmware::queue_outgoing(hw::GvtFields token) {
     // Only a newer epoch may displace a queued token (its epoch was
     // abandoned); within an epoch an overwrite is a protocol bug.
     NW_CHECK_MSG(out_token_->epoch < token.epoch, "outgoing token overwrite");
-    ctx_->stats().counter("gvt.tokens_stale").add(1);
+    tokens_stale_.add(1);
     out_token_.reset();
   }
   out_token_ = token;
@@ -302,7 +309,7 @@ SimTime GvtFirmware::emit_wire_token() {
                           static_cast<std::uint64_t>(out_token_->round)});
   }
   out_token_.reset();
-  ctx_->stats().counter("gvt.wire_tokens").add(1);
+  wire_tokens_.add(1);
   ctx_->emit(std::move(pkt));
   return ctx_->cost().us(ctx_->cost().nic_token_handle_us);
 }
@@ -397,7 +404,7 @@ SimTime GvtFirmware::on_wire_tx(hw::Packet& pkt) {
                             static_cast<std::uint64_t>(out_token_->round)});
     }
     out_token_.reset();
-    ctx_->stats().counter("gvt.tokens_piggybacked").add(1);
+    tokens_piggybacked_.add(1);
   }
   return cost;
 }

@@ -101,6 +101,14 @@ class GvtFirmware : public hw::Firmware {
   std::uint32_t last_completed_epoch_{0};  // floor carried by the next token
   SimTime last_est_activity_{SimTime::zero()};  // token sightings at the root
   SimTime last_rebroadcast_{SimTime::zero()};
+
+  CounterHandle estimations_;  // gvt.*, one handle per counter name
+  CounterHandle rounds_;
+  CounterHandle wire_tokens_;
+  CounterHandle tokens_piggybacked_;
+  CounterHandle tokens_stale_;
+  CounterHandle token_regens_;
+  CounterHandle rebroadcasts_;
 };
 
 }  // namespace nicwarp::firmware

@@ -448,7 +448,6 @@ ExperimentResult extract_result(Testbed& tb, bool completed) {
   r.lazy_matched = st.value("tw.lazy_matched");
   r.gvt_rounds = st.value("gvt.rounds");
   r.gvt_estimations = st.value("gvt.estimations");
-  r.host_gvt_ctrl_msgs = st.value("comm.credit_msgs");
   r.shard_rounds = tb.shard_rounds;
 
   r.fault_drops = st.value("net.fault_drops");

@@ -177,7 +177,6 @@ struct ExperimentResult {
 
   std::int64_t gvt_rounds = 0;
   std::int64_t gvt_estimations = 0;
-  std::int64_t host_gvt_ctrl_msgs = 0;  // wire tokens + broadcasts from hosts
 
   // LBTS rounds the shard-0 worker completed (0 on single-shard runs).
   std::int64_t shard_rounds = 0;

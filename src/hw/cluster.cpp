@@ -98,7 +98,7 @@ void Cluster::drain_shard_inbound(std::uint32_t s, std::uint64_t max_stamp) {
       // ordinary sink path, at the absolute instant the source computed.
       const PacketRef ref = ctx.pool.acquire(std::move(m.pkt));
       const NodeId dst = m.dst;
-      ctx.stats.counter("net.xshard_delivered").add(1);
+      ctx.xshard_delivered.add(1);
       ctx.engine.schedule_at(SimTime{m.deliver_at_ns}, [this, dst, ref] {
         nodes_[dst]->nic().receive_from_net(ref);
       });

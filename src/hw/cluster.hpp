@@ -133,6 +133,7 @@ class Cluster {
     PacketPool pool;          // must outlive network and nodes
     std::unique_ptr<Network> network;
     std::uint64_t round{0};  // current LBTS round (worker thread only)
+    CounterHandle xshard_delivered{stats, "net.xshard_delivered"};
   };
 
   ShardCtx& shard(std::uint32_t s) { return *shards_.at(s); }

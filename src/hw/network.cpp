@@ -8,11 +8,18 @@ Network::Network(sim::Engine& engine, StatsRegistry& stats, const CostModel& cos
                  PacketPool& pool, std::uint32_t num_nodes, TraceRecorder* trace,
                  EntityStats* entity)
     : engine_(engine),
-      stats_(stats),
       trace_(trace ? *trace : TraceRecorder::null_recorder()),
       entity_(entity ? *entity : EntityStats::null_stats()),
       cost_(cost),
-      pool_(pool) {
+      pool_(pool),
+      packets_(stats, "net.packets"),
+      bytes_(stats, "net.bytes"),
+      xshard_packets_(stats, "net.xshard_packets"),
+      fault_token_drops_(stats, "net.fault_token_drops"),
+      fault_drops_(stats, "net.fault_drops"),
+      fault_corrupts_(stats, "net.fault_corrupts"),
+      fault_delays_(stats, "net.fault_delays"),
+      fault_dups_(stats, "net.fault_dups") {
   links_.reserve(num_nodes);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     links_.push_back(
@@ -39,8 +46,8 @@ void Network::transmit(NodeId src, PacketRef ref, std::function<void()> on_link_
   links_[src]->submit(
       serialize, [this, src, ref, done = std::move(on_link_free)]() mutable {
         const PacketHeader& h = pool_.get(ref).hdr;
-        stats_.counter("net.packets").add(1);
-        stats_.counter("net.bytes").add(h.size_bytes);
+        packets_.add(1);
+        bytes_.add(h.size_bytes);
         if (entity_.enabled()) entity_.record_link_packet(src, h.dst, h.size_bytes);
         if (h.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
           trace_.record({engine_.now(), h.recv_ts, TraceCat::kMsg,
@@ -63,7 +70,7 @@ void Network::schedule_delivery(PacketRef ref, SimTime extra) {
     // Off-shard destination: the packet leaves this shard's pool as a value
     // and crosses via the shard mailbox; the destination engine delivers it
     // at the same absolute instant the local path would have.
-    stats_.counter("net.xshard_packets").add(1);
+    xshard_packets_.add(1);
     remote_push_(dst, engine_.now() + dt, pool_.take(ref));
     return;
   }
@@ -81,7 +88,7 @@ void Network::deliver_with_faults(NodeId src, PacketRef ref) {
     const PacketHeader& h = pool_.get(ref).hdr;
     if (h.kind == PacketKind::kNicGvtToken || h.kind == PacketKind::kHostGvtToken) {
       if (rng.next_double() < fault_.token_drop_rate) {
-        stats_.counter("net.fault_token_drops").add(1);
+        fault_token_drops_.add(1);
         if (entity_.enabled()) entity_.record_link_fault(src, h.dst);
         if (trace_.enabled(TraceCat::kFault)) {
           trace_.record({engine_.now(), h.recv_ts, TraceCat::kFault,
@@ -112,14 +119,14 @@ void Network::deliver_with_faults(NodeId src, PacketRef ref) {
   };
 
   if (u_drop < fault_.drop_rate) {
-    stats_.counter("net.fault_drops").add(1);
+    fault_drops_.add(1);
     if (entity_.enabled()) entity_.record_link_fault(src, pkt.hdr.dst);
     fault_trace(TracePoint::kFaultDrop, pkt.hdr.bip_seq);
     pool_.release(ref);
     return;  // the fabric ate it; recovery is the NIC's problem
   }
   if (u_corrupt < fault_.corrupt_rate) {
-    stats_.counter("net.fault_corrupts").add(1);
+    fault_corrupts_.add(1);
     if (entity_.enabled()) entity_.record_link_fault(src, pkt.hdr.dst);
     fault_trace(TracePoint::kFaultCorrupt, pkt.hdr.bip_seq);
     pkt.hdr.crc ^= 0xdeadbeefu;  // never maps a stamped crc back to itself
@@ -128,12 +135,12 @@ void Network::deliver_with_faults(NodeId src, PacketRef ref) {
   if (u_delay < fault_.delay_rate) {
     extra = SimTime::from_ns(
         static_cast<std::int64_t>(u_delay_amt * fault_.delay_max_us * 1e3));
-    stats_.counter("net.fault_delays").add(1);
+    fault_delays_.add(1);
     if (entity_.enabled()) entity_.record_link_fault(src, pkt.hdr.dst);
     fault_trace(TracePoint::kFaultDelay, static_cast<std::uint64_t>(extra.ns));
   }
   if (u_dup < fault_.dup_rate) {
-    stats_.counter("net.fault_dups").add(1);
+    fault_dups_.add(1);
     if (entity_.enabled()) entity_.record_link_fault(src, pkt.hdr.dst);
     fault_trace(TracePoint::kFaultDup, pkt.hdr.bip_seq);
     schedule_delivery(pool_.clone(ref),

@@ -70,7 +70,6 @@ class Network {
 
  private:
   sim::Engine& engine_;
-  StatsRegistry& stats_;
   TraceRecorder& trace_;
   EntityStats& entity_;
   const CostModel& cost_;
@@ -80,6 +79,15 @@ class Network {
   std::vector<std::uint8_t> remote_;  // empty unless sharded (1 = off-shard dst)
   RemotePush remote_push_;
   std::uint64_t delivered_{0};
+
+  CounterHandle packets_;  // net.*, one handle per counter name
+  CounterHandle bytes_;
+  CounterHandle xshard_packets_;
+  CounterHandle fault_token_drops_;
+  CounterHandle fault_drops_;
+  CounterHandle fault_corrupts_;
+  CounterHandle fault_delays_;
+  CounterHandle fault_dups_;
 
   // Applies the fault plan to one serialized packet; schedules 0, 1, or 2
   // deliveries. Called from the link-completion path when fault_.enabled().

@@ -24,7 +24,16 @@ Nic::Nic(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, NodeI
       pool_(pool),
       firmware_(std::move(firmware)),
       nic_cpu_(engine, "nic" + std::to_string(id) + ".cpu", &stats),
-      send_ring_(static_cast<std::size_t>(cost.nic_send_ring_slots)) {
+      send_ring_(static_cast<std::size_t>(cost.nic_send_ring_slots)),
+      ring_drops_(stats, "nic.ring_drops"),
+      emitted_(stats, "nic.emitted"),
+      retransmits_(stats, "nic.retransmits"),
+      rel_crc_discards_(stats, "nic.rel_crc_discards"),
+      rel_dup_discards_(stats, "nic.rel_dup_discards"),
+      rel_gap_discards_(stats, "nic.rel_gap_discards"),
+      naks_sent_(stats, "nic.naks_sent"),
+      retx_evicted_(stats, "nic.retx_evicted"),
+      retx_timeouts_(stats, "nic.retx_timeouts") {
   NW_CHECK(firmware_ != nullptr);
   rel_tx_.resize(world_size_);
   rel_rx_.resize(world_size_);
@@ -92,7 +101,7 @@ Packet Nic::drop_from_send_ring(std::size_t i) {
   rel_record_void(out.hdr.dst, out.hdr.bip_seq);
   NW_CHECK(slots_in_use_ > 0);
   --slots_in_use_;
-  stats_.counter("nic.ring_drops").add(1);
+  ring_drops_.add(1);
   if (out.hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
     trace_.record({engine_.now(), out.hdr.recv_ts, TraceCat::kMsg,
                    TracePoint::kNicDropRing, out.hdr.negative, id_, out.hdr.dst,
@@ -109,7 +118,7 @@ void Nic::emit(Packet pkt) {
   pkt.hdr.src = id_;
   pkt.hdr.bip_seq = 0;  // unsequenced: never part of the BIP host stream
   ctrl_queue_.push_back(pool_.acquire(std::move(pkt)));
-  stats_.counter("nic.emitted").add(1);
+  emitted_.add(1);
   pump_tx();
 }
 
@@ -289,7 +298,7 @@ void Nic::rel_go_back_n(NodeId dst, bool force) {
     Packet& copy = pool_.get(copy_ref);
     copy.hdr.rel_ack_pb = rel_rx_[dst].expected_seq;
     copy.hdr.crc = header_crc(copy);
-    stats_.counter("nic.retransmits").add(1);
+    retransmits_.add(1);
     if (entity_.enabled()) entity_.record_link_retx(id_, dst);
     if (trace_.enabled(TraceCat::kFault)) {
       trace_.record({engine_.now(), copy.hdr.recv_ts, TraceCat::kFault,
@@ -308,7 +317,7 @@ bool Nic::rel_rx_process(Packet& pkt, SimTime& cost) {
   // crc == 0 (clobbered to the unstamped sentinel) is corruption too.
   if (pkt.hdr.crc == 0 || header_crc(pkt) != pkt.hdr.crc) {
     // A corrupt header's ack/seq fields are garbage: do not process them.
-    stats_.counter("nic.rel_crc_discards").add(1);
+    rel_crc_discards_.add(1);
     if (trace_.enabled(TraceCat::kFault)) {
       trace_.record({engine_.now(), VirtualTime::zero(), TraceCat::kFault,
                      TracePoint::kRelCrcDiscard, false, id_, src,
@@ -332,7 +341,7 @@ bool Nic::rel_rx_process(Packet& pkt, SimTime& cost) {
     RelRx& rx = rel_rx_[src];
     const std::uint64_t seq = pkt.hdr.bip_seq;
     if (seq < rx.expected_seq) {
-      stats_.counter("nic.rel_dup_discards").add(1);
+      rel_dup_discards_.add(1);
       if (trace_.enabled(TraceCat::kFault)) {
         trace_.record({engine_.now(), pkt.hdr.recv_ts, TraceCat::kFault,
                        TracePoint::kRelDupDiscard, pkt.hdr.negative, id_, src,
@@ -349,7 +358,7 @@ bool Nic::rel_rx_process(Packet& pkt, SimTime& cost) {
     if (void_delta < gap) {
       // Fabric loss (or reordering): the gap is not fully explained by
       // intentional NIC drops. Hold the line and ask for a replay.
-      stats_.counter("nic.rel_gap_discards").add(1);
+      rel_gap_discards_.add(1);
       if (trace_.enabled(TraceCat::kFault)) {
         trace_.record({engine_.now(), pkt.hdr.recv_ts, TraceCat::kFault,
                        TracePoint::kRelGapDiscard, pkt.hdr.negative, id_, src,
@@ -379,7 +388,7 @@ void Nic::rel_send_status(NodeId to) {
   nak.hdr.kind = PacketKind::kNak;
   nak.hdr.dst = to;
   nak.hdr.size_bytes = static_cast<std::uint32_t>(cost_.ack_msg_bytes);
-  stats_.counter("nic.naks_sent").add(1);
+  naks_sent_.add(1);
   if (trace_.enabled(TraceCat::kFault)) {
     trace_.record({engine_.now(), VirtualTime::zero(), TraceCat::kFault,
                    TracePoint::kRelNak, false, id_, to, kInvalidEvent,
@@ -404,7 +413,7 @@ void Nic::rel_stamp_outgoing(PacketRef ref, bool first_departure) {
       // it already having been delivered; chaos tests assert this never
       // fires at the default sizing.
       pool_.release(tx.ring.pop_front());
-      stats_.counter("nic.retx_evicted").add(1);
+      retx_evicted_.add(1);
     }
     if (tx.ring.empty()) tx.last_event = engine_.now();
     // Stored copy is taken before the ack/crc stamp (a replay re-stamps both
@@ -442,7 +451,7 @@ void Nic::rel_check_timeouts() {
     const SimTime rto =
         cost_.us(cost_.rel_rto_us * static_cast<double>(tx.backoff));
     if (engine_.now() >= tx.last_event + rto) {
-      stats_.counter("nic.retx_timeouts").add(1);
+      retx_timeouts_.add(1);
       tx.backoff = std::min(tx.backoff * 2, cost_.rel_backoff_max);
       tx.last_event = engine_.now();
       rel_go_back_n(d, /*force=*/true);

@@ -161,6 +161,16 @@ class Nic final : public NicContext {
 
   std::function<void(PacketRef)> host_deliver_;
   std::function<void()> tx_slot_freed_;
+
+  CounterHandle ring_drops_;  // nic.*, one handle per counter name
+  CounterHandle emitted_;
+  CounterHandle retransmits_;
+  CounterHandle rel_crc_discards_;
+  CounterHandle rel_dup_discards_;
+  CounterHandle rel_gap_discards_;
+  CounterHandle naks_sent_;
+  CounterHandle retx_evicted_;
+  CounterHandle retx_timeouts_;
 };
 
 }  // namespace nicwarp::hw

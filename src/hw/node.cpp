@@ -16,7 +16,8 @@ Node::Node(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, Nod
       pool_(pool),
       host_cpu_(engine, "host" + std::to_string(id) + ".cpu", &stats),
       bus_(engine, "bus" + std::to_string(id), &stats),
-      phases_(phases ? phases : &PhaseProfiler::null_profiler()) {
+      phases_(phases ? phases : &PhaseProfiler::null_profiler()),
+      tx_packets_(stats, "host.tx_packets") {
   nic_ = std::make_unique<Nic>(engine, stats, cost, id, world_size, network, bus_,
                                pool, std::move(firmware), trace, latency, entity);
   nic_->set_host_deliver([this](PacketRef ref) {
@@ -31,7 +32,7 @@ Node::Node(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, Nod
 
 void Node::dma_to_nic(PacketRef ref) {
   nic_->reserve_tx_slot();
-  stats_.counter("host.tx_packets").add(1);
+  tx_packets_.add(1);
   bus_.submit(cost_.bus_transfer(pool_.get(ref).hdr.size_bytes),
               [this, ref] { nic_->accept_from_host(ref); });
 }

@@ -82,6 +82,7 @@ class Node {
   std::unique_ptr<Nic> nic_;
   PhaseProfiler* phases_;  // never null; defaults to the null profiler
   std::function<void(PacketRef)> raw_rx_;
+  CounterHandle tx_packets_;  // host.tx_packets
 };
 
 }  // namespace nicwarp::hw

@@ -39,7 +39,7 @@ struct TaskHandle {
 class Engine {
  public:
   // 96 inline bytes cover every scheduling site on the hot path (the largest
-  // is Server's completion closure: this + cost + a 72-byte SmallFn).
+  // is Nic::schedule's timer closure: this + an 80-byte SmallFn).
   using Callback = SmallFn<void(), 96>;
 
   SimTime now() const { return now_; }

@@ -5,7 +5,12 @@
 namespace nicwarp::sim {
 
 Server::Server(Engine& engine, std::string name, StatsRegistry* stats)
-    : engine_(engine), name_(std::move(name)), stats_(stats) {}
+    : engine_(engine), name_(std::move(name)), stats_(stats) {
+  if (stats_ != nullptr) {
+    jobs_ = CounterHandle(*stats_, name_.c_str(), ".jobs");
+    busy_ns_ = CounterHandle(*stats_, name_.c_str(), ".busy_ns");
+  }
+}
 
 void Server::submit(SimTime cost, CompletionFn on_complete) {
   NW_CHECK_MSG(cost.ns >= 0, "negative job cost");
@@ -24,23 +29,23 @@ void Server::start_next() {
     return;
   }
   busy_ = true;
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
-  const SimTime cost = job.work();
+  const SimTime cost = queue_.front().work();
   NW_CHECK_MSG(cost.ns >= 0, "job returned negative cost");
-  engine_.schedule(cost, [this, cost, fn = std::move(job.on_complete)]() mutable {
-    busy_time_ += cost;
-    ++jobs_completed_;
-    if (stats_ != nullptr) {
-      stats_->counter(name_ + ".jobs").add(1);
-      stats_->counter(name_ + ".busy_ns").add(cost.ns);
-    }
-    // The completion callback may submit follow-on work; run it before
-    // starting the next queued job so submission order within a completion
-    // is preserved deterministically.
-    if (fn) fn();
-    start_next();
-  });
+  engine_.schedule(cost, [this, cost] { finish(cost); });
+}
+
+void Server::finish(SimTime cost) {
+  if (stats_ != nullptr) {
+    jobs_.add(1);
+    busy_ns_.add(cost.ns);
+  }
+  // The completion callback may submit follow-on work; run it before
+  // starting the next queued job so submission order within a completion
+  // is preserved deterministically.
+  CompletionFn fn = std::move(queue_.front().on_complete);
+  queue_.pop_front();
+  if (fn) fn();
+  start_next();
 }
 
 }  // namespace nicwarp::sim

@@ -23,8 +23,15 @@ class Server {
   using WorkFn = SmallFn<SimTime(), 64>;
   using CompletionFn = SmallFn<void(), 64>;
 
-  // `name` keys the utilization counters in `stats` (may be null for tests).
+  // `name` keys the utilization counters `<name>.jobs` and `<name>.busy_ns`
+  // in `stats` (may be null for tests; nothing is recorded then).
   Server(Engine& engine, std::string name, StatsRegistry* stats = nullptr);
+
+  // Engine callbacks hold `this`, and the counter handles view name_.
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
+  Server(Server&&) = delete;
+  Server& operator=(Server&&) = delete;
 
   // Enqueues a job that holds the server for `cost`, then runs on_complete.
   void submit(SimTime cost, CompletionFn on_complete);
@@ -36,29 +43,29 @@ class Server {
   void submit_dynamic(WorkFn work, CompletionFn on_complete);
 
   bool idle() const { return !busy_; }
-  std::size_t queue_length() const { return queue_.size(); }
-
-  // Total time the server has been occupied (updated at job completion).
-  SimTime busy_time() const { return busy_time_; }
-  std::uint64_t jobs_completed() const { return jobs_completed_; }
+  std::size_t queue_length() const { return queue_.size() - (busy_ ? 1 : 0); }
 
   const std::string& name() const { return name_; }
 
  private:
   void start_next();
+  // Completion of the job in service, which occupied the server for `cost`.
+  void finish(SimTime cost);
 
   Engine& engine_;
   std::string name_;
   StatsRegistry* stats_;
+  CounterHandle jobs_;     // <name>.jobs
+  CounterHandle busy_ns_;  // <name>.busy_ns: total occupied time
 
   struct Job {
     WorkFn work;  // returns occupancy; runs at service start
     CompletionFn on_complete;
   };
+  // While busy_, the front job is in service. It stays queued until it
+  // completes, so the engine callback carries only `this` and the cost.
   std::deque<Job> queue_;
   bool busy_{false};
-  SimTime busy_time_{SimTime::zero()};
-  std::uint64_t jobs_completed_{0};
 };
 
 }  // namespace nicwarp::sim

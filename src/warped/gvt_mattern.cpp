@@ -4,6 +4,13 @@
 
 namespace nicwarp::warped {
 
+void MatternGvtManager::attach(KernelApi& api) {
+  GvtManager::attach(api);
+  estimations_ = CounterHandle(api.stats(), "gvt.estimations");
+  rounds_ = CounterHandle(api.stats(), "gvt.rounds");
+  color_map_peak_ = CounterHandle(api.stats(), "gvt.color_map_peak");
+}
+
 void MatternGvtManager::start() { last_completion_ = api_->now(); }
 
 void MatternGvtManager::on_event_processed() {
@@ -28,7 +35,7 @@ void MatternGvtManager::maybe_initiate() {
   const std::uint32_t e = std::max(epoch_, last_epoch_started_) + 1;
   last_epoch_started_ = e;
   outstanding_.insert(e);
-  api_->stats().counter("gvt.estimations").add(1);
+  estimations_.add(1);
 
   hw::GvtFields token;
   token.epoch = e;
@@ -53,7 +60,7 @@ MatternGvtManager::ColorCell& MatternGvtManager::cell(std::uint32_t epoch) {
     if (colors_.size() > color_peak_) {
       color_peak_ = colors_.size();
       // Gauge semantics on a counter: raise it to the new high-water mark.
-      auto& peak = api_->stats().counter("gvt.color_map_peak");
+      Counter& peak = color_map_peak_.counter();
       peak.add(static_cast<std::int64_t>(color_peak_) - peak.get());
     }
   }
@@ -153,7 +160,7 @@ void MatternGvtManager::on_control(const hw::Packet& pkt) {
 
   // Token returned to the root: one full circulation done; the root's
   // sighting is both a return and a visit.
-  api_->stats().counter("gvt.rounds").add(1);
+  rounds_.add(1);
   contribute(token);
   if (token.white_count == 0) {
     complete(token.epoch, VirtualTime::min(token.t, token.tmin));

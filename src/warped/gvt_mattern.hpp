@@ -31,6 +31,7 @@ class MatternGvtManager final : public GvtManager {
  public:
   explicit MatternGvtManager(MatternOptions opts) : opts_(opts) {}
 
+  void attach(KernelApi& api) override;
   void start() override;
   void on_event_processed() override;
   void stamp_outgoing(hw::PacketHeader& hdr) override;
@@ -91,6 +92,10 @@ class MatternGvtManager final : public GvtManager {
   std::uint32_t last_epoch_started_{0};
   std::int64_t events_at_last_init_{0};
   SimTime last_completion_{SimTime::zero()};
+
+  CounterHandle estimations_;  // gvt.*, one handle per counter name
+  CounterHandle rounds_;
+  CounterHandle color_map_peak_;
 };
 
 }  // namespace nicwarp::warped

@@ -2,6 +2,12 @@
 
 namespace nicwarp::warped {
 
+void NicGvtManager::attach(KernelApi& api) {
+  GvtManager::attach(api);
+  handshake_piggybacked_ = CounterHandle(api.stats(), "gvt.handshake_piggybacked");
+  handshake_mailbox_ = CounterHandle(api.stats(), "gvt.handshake_mailbox");
+}
+
 void NicGvtManager::stamp_outgoing(hw::PacketHeader& hdr) {
   if (hdr.kind != hw::PacketKind::kEvent) return;
   if (opts_.piggyback && request_pending_) {
@@ -12,7 +18,7 @@ void NicGvtManager::stamp_outgoing(hw::PacketHeader& hdr) {
     hdr.gvt.t = host_t();
     request_pending_ = false;
     api_->mailbox().handshake_requested = false;
-    api_->stats().counter("gvt.handshake_piggybacked").add(1);
+    handshake_piggybacked_.add(1);
   }
 }
 
@@ -63,7 +69,7 @@ void NicGvtManager::answer_by_mailbox_write() {
     mb.host_values.tmin = VirtualTime::inf();  // wire-level coloring owns Tmin
     request_pending_ = false;
     mb.handshake_requested = false;
-    api_->stats().counter("gvt.handshake_mailbox").add(1);
+    handshake_mailbox_.add(1);
   });
 }
 

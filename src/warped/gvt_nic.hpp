@@ -32,6 +32,7 @@ class NicGvtManager final : public GvtManager {
  public:
   explicit NicGvtManager(NicGvtHostOptions opts) : opts_(opts) {}
 
+  void attach(KernelApi& api) override;
   void stamp_outgoing(hw::PacketHeader& hdr) override;
   void on_control(const hw::Packet& pkt) override;
   void idle_poll() override;
@@ -44,6 +45,9 @@ class NicGvtManager final : public GvtManager {
   bool request_pending_{false};   // notification received, reply not yet sent
   std::uint64_t request_epoch_{0};
   bool reply_timer_armed_{false};
+
+  CounterHandle handshake_piggybacked_;  // gvt.*, one handle per counter name
+  CounterHandle handshake_mailbox_;
 };
 
 }  // namespace nicwarp::warped

@@ -4,6 +4,13 @@
 
 namespace nicwarp::warped {
 
+void PGvtManager::attach(KernelApi& api) {
+  GvtManager::attach(api);
+  estimations_ = CounterHandle(api.stats(), "gvt.estimations");
+  rounds_ = CounterHandle(api.stats(), "gvt.rounds");
+  acks_ = CounterHandle(api.stats(), "gvt.acks");
+}
+
 void PGvtManager::start() { last_completion_ = api_->now(); }
 
 void PGvtManager::on_event_processed() {
@@ -26,8 +33,8 @@ void PGvtManager::maybe_initiate(bool force) {
   ++gather_epoch_;
   reporters_.clear();
   gather_min_ = local_report();
-  api_->stats().counter("gvt.estimations").add(1);
-  api_->stats().counter("gvt.rounds").add(1);
+  estimations_.add(1);
+  rounds_.add(1);
   for (NodeId n = 0; n < api_->world_size(); ++n) {
     if (n == api_->rank()) continue;
     hw::Packet req;
@@ -79,7 +86,7 @@ void PGvtManager::send_ack(const hw::PacketHeader& hdr) {
   ack.hdr.event_id = hdr.event_id;
   ack.hdr.negative = hdr.negative;
   ack.hdr.size_bytes = static_cast<std::uint32_t>(api_->cost().ack_msg_bytes);
-  api_->stats().counter("gvt.acks").add(1);
+  acks_.add(1);
   api_->send_control(std::move(ack));
 }
 

@@ -29,6 +29,7 @@ class PGvtManager final : public GvtManager {
  public:
   explicit PGvtManager(PGvtOptions opts) : opts_(opts) {}
 
+  void attach(KernelApi& api) override;
   void start() override;
   void on_event_processed() override;
   void stamp_outgoing(hw::PacketHeader& hdr) override;
@@ -73,6 +74,10 @@ class PGvtManager final : public GvtManager {
   VirtualTime gather_min_{VirtualTime::inf()};
   std::int64_t events_at_last_init_{0};
   SimTime last_completion_{SimTime::zero()};
+
+  CounterHandle estimations_;  // gvt.*, one handle per counter name
+  CounterHandle rounds_;
+  CounterHandle acks_;
 };
 
 }  // namespace nicwarp::warped

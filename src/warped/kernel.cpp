@@ -47,7 +47,11 @@ Kernel::Kernel(hw::Node& node, comm::HostComm& comm, std::shared_ptr<const Parti
       world_size_(0),
       lp_(node.id(), node.stats(), seed, opts.rollback_scope, opts.cancellation,
           opts.state_save_period, opts.state_mode),
-      jitter_rng_(seed ^ node.id(), "kernel.jitter") {
+      jitter_rng_(seed ^ node.id(), "kernel.jitter"),
+      kernels_terminated_(node.stats(), "tw.kernels_terminated"),
+      drop_notices_(node.stats(), "tw.drop_notices"),
+      events_sent_(node.stats(), "tw.events_sent"),
+      antis_sent_(node.stats(), "tw.antis_sent") {
   NW_CHECK(part_ != nullptr);
   NW_CHECK(mgr_ != nullptr);
   lp_.set_paranoia(opts.paranoia_checks);
@@ -120,7 +124,7 @@ void Kernel::on_new_gvt(VirtualTime g) {
   if (g.is_inf() && !stopped_) {
     stopped_ = true;
     stop_time_ = node_.engine().now();
-    node_.stats().counter("tw.kernels_terminated").add(1);
+    kernels_terminated_.add(1);
   }
 }
 
@@ -140,7 +144,7 @@ void Kernel::drain_drop_notices(double& cost_us) {
     }
     mgr_->on_nic_drop(n);
     comm_.refund_credits(n.dst, 1);
-    node_.stats().counter("tw.drop_notices").add(1);
+    drop_notices_.add(1);
     cost_us += 0.2;  // one uncached mailbox read
   }
 }
@@ -228,7 +232,7 @@ void Kernel::dispatch_event(EventMsg ev, double& cost_us) {
   pkt.hdr.anti_counter_pb = lp_.anti_counter_piggyback(ev.src_obj);
   mgr_->stamp_outgoing(pkt.hdr);
   cost_us += cost().host_msg_send_us;
-  node_.stats().counter(ev.negative ? "tw.antis_sent" : "tw.events_sent").add(1);
+  (ev.negative ? antis_sent_ : events_sent_).add(1);
   if (node_.trace().enabled(TraceCat::kMsg)) {
     node_.trace().record({now(), ev.recv_ts, TraceCat::kMsg,
                           TracePoint::kHostEnqueue, ev.negative, rank(), dst_node,

@@ -115,6 +115,11 @@ class Kernel final : public KernelApi {
   SimTime stop_time_{SimTime::zero()};
   bool step_active_{false};
   bool stopped_{false};
+
+  CounterHandle kernels_terminated_;  // tw.*, one handle per counter name
+  CounterHandle drop_notices_;
+  CounterHandle events_sent_;
+  CounterHandle antis_sent_;
 };
 
 }  // namespace nicwarp::warped

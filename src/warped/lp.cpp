@@ -24,8 +24,10 @@ constexpr std::uint64_t kAdaptiveWindowCap = 4096;
 // provides per-execution deterministic randomness.
 class ExecCtx final : public ObjectContext {
  public:
-  ExecCtx(SimulationObject& obj, VirtualTime now, EventId parent, std::uint64_t seed)
-      : obj_(obj), now_(now), parent_(parent), rng_(seed ^ parent, obj.name()) {}
+  // `rng_seed` is the object's ObjRt::rng_seed; the stream equals
+  // Rng(lp_seed ^ parent, obj.name()) without hashing the name per event.
+  ExecCtx(SimulationObject& obj, VirtualTime now, EventId parent, std::uint64_t rng_seed)
+      : obj_(obj), now_(now), parent_(parent), rng_(rng_seed ^ parent) {}
 
   VirtualTime now() const override { return now_; }
 
@@ -66,7 +68,7 @@ LogicalProcess::LogicalProcess(NodeId rank, StatsRegistry& stats, std::uint64_t 
                                RollbackScope scope, CancellationMode cancellation,
                                std::int64_t state_save_period, StateSaveMode state_mode)
     : rank_(rank),
-      stats_(stats),
+      tw_(stats),
       seed_(seed),
       scope_(scope),
       cancellation_(cancellation),
@@ -96,6 +98,7 @@ void LogicalProcess::add_object(std::unique_ptr<SimulationObject> obj) {
   NW_CHECK_MSG(objs_.count(obj->id()) == 0, "duplicate object id on LP");
   ObjRt rt;
   rt.obj = obj.get();
+  rt.rng_seed = seed_ ^ stable_hash(obj->name());
   objs_.emplace(obj->id(), std::move(rt));
   storage_.push_back(std::move(obj));
 }
@@ -116,7 +119,7 @@ LogicalProcess::ObjRt& LogicalProcess::runtime_for(ObjectId id) {
 std::vector<EventMsg> LogicalProcess::initialize_objects() {
   std::vector<EventMsg> out;
   for (auto& [id, rt] : objs_) {
-    ExecCtx ctx(*rt.obj, VirtualTime::zero(), make_root_id(id), seed_);
+    ExecCtx ctx(*rt.obj, VirtualTime::zero(), make_root_id(id), rt.rng_seed);
     rt.obj->initialize(ctx);
     for (auto& ev : ctx.take_sends()) out.push_back(std::move(ev));
   }
@@ -146,7 +149,7 @@ LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_netwo
       lp_antis_processed_ += 1;
       lp_last_anti_ts_ = ev.recv_ts;
     }
-    stats_.counter("tw.antis_received").add(1);
+    tw_.antis_received.add(1);
 
     // 1. Annihilate against a pending positive (indexed: one hash probe).
     if (auto it = pending_find(rt, ev.id); it != rt.pending.end()) {
@@ -155,7 +158,7 @@ LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_netwo
       // it had already put on the wire must be cancelled now.
       flush_lazy_for_gen(rt, ev.id, res.antis);
       res.annihilated = true;
-      stats_.counter("tw.annihilations").add(1);
+      tw_.annihilations.add(1);
       return res;
     }
     // 2. Positive already processed: roll back to just before it, then the
@@ -185,8 +188,8 @@ LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_netwo
         pending_erase(rt, it);
         flush_lazy_for_gen(rt, ev.id, res.antis);
         res.annihilated = true;
-        stats_.counter("tw.annihilations").add(1);
-        stats_.counter("tw.anti_rollbacks").add(1);
+        tw_.annihilations.add(1);
+        tw_.anti_rollbacks.add(1);
         return res;
       }
     }
@@ -194,7 +197,7 @@ LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_netwo
     // it until the positive shows up.
     rt.orphan_antis.insert(std::move(ev));
     res.stored_orphan = true;
-    stats_.counter("tw.orphan_antis").add(1);
+    tw_.orphan_antis.add(1);
     return res;
   }
 
@@ -203,7 +206,7 @@ LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_netwo
     if (it->id == ev.id) {
       rt.orphan_antis.erase(it);
       res.annihilated = true;
-      stats_.counter("tw.annihilations").add(1);
+      tw_.annihilations.add(1);
       return res;
     }
   }
@@ -235,7 +238,7 @@ LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_netwo
       max_rollback_depth_ = res.events_undone;
     }
     res.rollback = true;
-    stats_.counter("tw.straggler_rollbacks").add(1);
+    tw_.straggler_rollbacks.add(1);
   }
 
   pending_insert(rt, std::move(ev));
@@ -345,7 +348,7 @@ std::size_t LogicalProcess::rollback_to(ObjRt& rt, std::size_t pos,
   if (pure_undo) {
     rt.undo->rewind_to(rt.processed[pos].undo_mark);
     undo_rewinds_ += 1;
-    stats_.counter("tw.undo_rewinds").add(1);
+    tw_.undo_rewinds.add(1);
   } else {
     // The record at `pos` may have no snapshot (periodic saving skipped it,
     // or its undo entries are unusable): restore the nearest earlier
@@ -362,7 +365,7 @@ std::size_t LogicalProcess::rollback_to(ObjRt& rt, std::size_t pos,
       ++replayed;
     }
     events_replayed_ += pos - snap;
-    stats_.counter("tw.events_replayed").add(static_cast<std::int64_t>(pos - snap));
+    tw_.events_replayed.add(static_cast<std::int64_t>(pos - snap));
     // replace_state destroyed the object the undo entries point into; burn
     // the whole log so their marks turn stale (later rollbacks route to
     // snapshots) instead of rewinding through dangling addresses.
@@ -389,15 +392,15 @@ std::size_t LogicalProcess::rollback_to(ObjRt& rt, std::size_t pos,
                      rt.processed.end());
   rollbacks_ += 1;
   events_rolled_back_ += undone;
-  stats_.counter("tw.rollbacks").add(1);
-  stats_.counter("tw.events_rolled_back").add(static_cast<std::int64_t>(undone));
+  tw_.rollbacks.add(1);
+  tw_.events_rolled_back.add(static_cast<std::int64_t>(undone));
   return undone;
 }
 
 void LogicalProcess::coast_forward(ObjRt& rt, const EventMsg& ev) {
   // Deterministic replay: same event, same per-execution RNG stream, same
   // state trajectory — only the sends are discarded (they are already out).
-  ExecCtx ctx(*rt.obj, ev.recv_ts, ev.id, seed_);
+  ExecCtx ctx(*rt.obj, ev.recv_ts, ev.id, rt.rng_seed);
   rt.obj->execute(ctx, ev);
   (void)ctx.take_sends();
 }
@@ -411,7 +414,7 @@ void LogicalProcess::flush_lazy_before(ObjRt& rt, const EventMsg& next,
   std::erase_if(rt.lazy, [&](const LazyRecord& rec) {
     if (!event_before(rec.gen, next)) return false;
     antis.push_back(rec.output.as_anti());
-    stats_.counter("tw.lazy_flush_before").add(1);
+    tw_.lazy_flush_before.add(1);
     return true;
   });
 }
@@ -421,7 +424,7 @@ void LogicalProcess::flush_lazy_for_gen(ObjRt& rt, EventId gen_id,
   std::erase_if(rt.lazy, [&](const LazyRecord& rec) {
     if (rec.gen.id != gen_id) return false;
     antis.push_back(rec.output.as_anti());
-    stats_.counter("tw.lazy_cancelled").add(1);
+    tw_.lazy_cancelled.add(1);
     return true;
   });
 }
@@ -511,7 +514,7 @@ LogicalProcess::ExecResult LogicalProcess::execute_next() {
     undo_bytes_before = best->undo->bytes_logged();
   }
 
-  ExecCtx ctx(*best->obj, ev.recv_ts, ev.id, seed_);
+  ExecCtx ctx(*best->obj, ev.recv_ts, ev.id, best->rng_seed);
   best->obj->execute(ctx, ev);
   rec.outputs = ctx.take_sends();
 
@@ -545,7 +548,7 @@ LogicalProcess::ExecResult LogicalProcess::execute_next() {
           return false;  // same identity, different content: must cancel it
         }
         matched = true;
-        stats_.counter("tw.lazy_matched").add(1);
+        tw_.lazy_matched.add(1);
         return true;
       });
       if (!matched) res.sends.push_back(outp);
@@ -559,7 +562,7 @@ LogicalProcess::ExecResult LogicalProcess::execute_next() {
   rec.ev = std::move(ev);
   best->processed.push_back(std::move(rec));
   events_processed_ += 1;
-  stats_.counter("tw.events_processed").add(1);
+  tw_.events_processed.add(1);
   return res;
 }
 
@@ -614,7 +617,7 @@ std::size_t LogicalProcess::fossil_collect(VirtualTime gvt) {
       }
     }
   }
-  stats_.counter("tw.fossil_reclaimed").add(static_cast<std::int64_t>(reclaimed));
+  tw_.fossil_reclaimed.add(static_cast<std::int64_t>(reclaimed));
   return reclaimed;
 }
 

@@ -223,6 +223,9 @@ class LogicalProcess {
 
   struct ObjRt {
     SimulationObject* obj{nullptr};
+    // Seed of the object's per-execution RNG streams: the LP seed mixed with
+    // the hash of the object's name, taken once in add_object.
+    std::uint64_t rng_seed{0};
     PendingQueue pending;
     // Hot-path index: event id -> its node in `pending`, so anti-message
     // annihilation is a hash probe instead of an O(pending) scan. Multiset
@@ -285,8 +288,41 @@ class LogicalProcess {
   // (no-op when pending is empty).
   void advertise_head(ObjRt& rt);
 
+  // The tw.* counters this LP records, each named after its key.
+  struct Counters {
+    explicit Counters(StatsRegistry& s)
+        : antis_received(s, "tw.antis_received"),
+          annihilations(s, "tw.annihilations"),
+          anti_rollbacks(s, "tw.anti_rollbacks"),
+          orphan_antis(s, "tw.orphan_antis"),
+          straggler_rollbacks(s, "tw.straggler_rollbacks"),
+          undo_rewinds(s, "tw.undo_rewinds"),
+          events_replayed(s, "tw.events_replayed"),
+          rollbacks(s, "tw.rollbacks"),
+          events_rolled_back(s, "tw.events_rolled_back"),
+          lazy_flush_before(s, "tw.lazy_flush_before"),
+          lazy_cancelled(s, "tw.lazy_cancelled"),
+          lazy_matched(s, "tw.lazy_matched"),
+          events_processed(s, "tw.events_processed"),
+          fossil_reclaimed(s, "tw.fossil_reclaimed") {}
+    CounterHandle antis_received;
+    CounterHandle annihilations;
+    CounterHandle anti_rollbacks;
+    CounterHandle orphan_antis;
+    CounterHandle straggler_rollbacks;
+    CounterHandle undo_rewinds;
+    CounterHandle events_replayed;
+    CounterHandle rollbacks;
+    CounterHandle events_rolled_back;
+    CounterHandle lazy_flush_before;
+    CounterHandle lazy_cancelled;
+    CounterHandle lazy_matched;
+    CounterHandle events_processed;
+    CounterHandle fossil_reclaimed;
+  };
+
   NodeId rank_;
-  StatsRegistry& stats_;
+  Counters tw_;
   std::uint64_t seed_;
   RollbackScope scope_;
   CancellationMode cancellation_;

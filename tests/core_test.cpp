@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/config.hpp"
 #include "core/ring_buffer.hpp"
@@ -344,6 +345,86 @@ TEST(StatsTest, NameReuseReturnsSameInstance) {
   EXPECT_EQ(s.value("same"), 5);  // counter untouched
   ASSERT_EQ(s.all_histograms().size(), 1u);
   EXPECT_EQ(s.all_histograms()[0].first, "same");
+}
+
+TEST(StatsTest, UnaddedHandleLeavesItsNameOut) {
+  StatsRegistry s;
+  s.counter("other").add(1);
+  CounterHandle h(s, "x");
+  CounterHandle two_part(s, "host0.cpu", ".jobs");
+  ASSERT_EQ(s.all_counters().size(), 1u);
+  EXPECT_EQ(s.to_string(), "other=1\n");
+  StatsRegistry merged;
+  merged.merge_from(s);
+  ASSERT_EQ(merged.all_counters().size(), 1u);
+  EXPECT_EQ(merged.all_counters()[0].first, "other");
+}
+
+TEST(StatsTest, HandleRegistersOnFirstAdd) {
+  StatsRegistry s;
+  CounterHandle h(s, "x");
+  CounterHandle jobs(s, "host0.cpu", ".jobs");
+  EXPECT_TRUE(s.all_counters().empty());
+  h.add(0);  // a zero add registers the name, as counter("x").add(0) does
+  ASSERT_EQ(s.all_counters().size(), 1u);
+  EXPECT_EQ(s.all_counters()[0].first, "x");
+  h.add(4);
+  jobs.add();
+  ASSERT_EQ(s.all_counters().size(), 2u);
+  jobs.add(2);
+  EXPECT_EQ(s.value("x"), 4);
+  EXPECT_EQ(s.value("host0.cpu.jobs"), 3);
+  EXPECT_EQ(&jobs.counter(), &s.counter("host0.cpu.jobs"));
+}
+
+TEST(StatsTest, HandleSurvivesResetAndLaterInserts) {
+  StatsRegistry s;
+  CounterHandle h(s, "m");
+  h.add(5);
+  s.reset();
+  // Names that sort before and after the handle's insert new map nodes.
+  for (int i = 0; i < 100; ++i) {
+    s.counter("a" + std::to_string(i)).add(1);
+    s.counter("z" + std::to_string(i)).add(1);
+  }
+  h.add(2);
+  EXPECT_EQ(s.value("m"), 2);
+  s.reset();
+  h.add(1);
+  EXPECT_EQ(s.value("m"), 1);
+}
+
+TEST(StatsTest, HandleShardMergeMatchesStringKeyedCounters) {
+  // Two per-shard registries recorded through handles, and two recorded by
+  // name with the same adds, merge to the same totals and the same names.
+  StatsRegistry by_handle[2];
+  StatsRegistry by_name[2];
+  for (int shard = 0; shard < 2; ++shard) {
+    CounterHandle packets(by_handle[shard], "net.packets");
+    CounterHandle busy(by_handle[shard], "link3", ".busy_ns");
+    CounterHandle idle(by_handle[shard], "never.added");
+    for (int i = 0; i <= shard * 3; ++i) {
+      packets.add(i);
+      busy.add(10 * i + shard);
+      by_name[shard].counter("net.packets").add(i);
+      by_name[shard].counter("link3.busy_ns").add(10 * i + shard);
+    }
+    if (shard == 1) {
+      CounterHandle only_here(by_handle[shard], "nic.retransmits");
+      only_here.add(7);
+      by_name[shard].counter("nic.retransmits").add(7);
+    }
+  }
+  StatsRegistry merged_handle;
+  StatsRegistry merged_name;
+  for (int shard = 0; shard < 2; ++shard) {
+    merged_handle.merge_from(by_handle[shard]);
+    merged_name.merge_from(by_name[shard]);
+  }
+  EXPECT_EQ(merged_handle.all_counters(), merged_name.all_counters());
+  EXPECT_EQ(merged_handle.to_string(), merged_name.to_string());
+  EXPECT_EQ(merged_handle.value("net.packets"), 6);
+  EXPECT_EQ(merged_handle.value("link3.busy_ns"), 64);
 }
 
 }  // namespace

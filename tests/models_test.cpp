@@ -2,6 +2,8 @@
 // conservation laws (e.g. RAID commits exactly four events per disk request).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/experiment.hpp"
 
 namespace nicwarp::models {
@@ -140,6 +142,11 @@ struct ModelCase {
   harness::ModelKind kind;
   const char* name;
 };
+
+// CMake's test discovery copies gtest's printout of the parameter into each
+// test's name. The default printout dumps the struct's bytes, whose string
+// address and padding change from one build to the next.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
 
 class ModelDeterminism : public ::testing::TestWithParam<ModelCase> {};
 

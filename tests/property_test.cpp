@@ -79,7 +79,8 @@ class ServerRandomLoad : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ServerRandomLoad, ConservationOfBusyTime) {
   Rng rng(GetParam(), "server-prop");
   sim::Engine eng;
-  sim::Server srv(eng, "cpu");
+  StatsRegistry stats;
+  sim::Server srv(eng, "cpu", &stats);
   std::int64_t total_cost = 0;
   std::vector<int> completions;
   int submitted = 0;
@@ -98,7 +99,7 @@ TEST_P(ServerRandomLoad, ConservationOfBusyTime) {
     });
   }
   eng.run();
-  EXPECT_EQ(srv.busy_time().ns, total_cost);
+  EXPECT_EQ(stats.value("cpu.busy_ns"), total_cost);
   EXPECT_EQ(static_cast<int>(completions.size()), submitted);
   EXPECT_TRUE(std::is_sorted(completions.begin(), completions.end()))
       << "FIFO service must complete jobs in submission order";

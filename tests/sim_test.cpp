@@ -117,19 +117,21 @@ TEST(ServerTest, JobsCompleteInFifoOrderWithQueueing) {
 
 TEST(ServerTest, BusyAccountingAndIdle) {
   Engine e;
-  Server s(e, "cpu");
+  StatsRegistry stats;
+  Server s(e, "cpu", &stats);
   EXPECT_TRUE(s.idle());
   s.submit(SimTime::from_ns(25), nullptr);
   EXPECT_FALSE(s.idle());
   e.run();
   EXPECT_TRUE(s.idle());
-  EXPECT_EQ(s.busy_time().ns, 25);
-  EXPECT_EQ(s.jobs_completed(), 1u);
+  EXPECT_EQ(stats.value("cpu.busy_ns"), 25);
+  EXPECT_EQ(stats.value("cpu.jobs"), 1);
 }
 
 TEST(ServerTest, DynamicCostEvaluatedAtServiceStart) {
   Engine e;
-  Server s(e, "cpu");
+  StatsRegistry stats;
+  Server s(e, "cpu", &stats);
   std::int64_t knob = 10;
   std::int64_t start2 = -1;
   s.submit(SimTime::from_ns(50), [&] { knob = 3; });
@@ -142,7 +144,7 @@ TEST(ServerTest, DynamicCostEvaluatedAtServiceStart) {
   e.run();
   EXPECT_EQ(start2, 50);
   EXPECT_EQ(e.now().ns, 53);
-  EXPECT_EQ(s.busy_time().ns, 53);
+  EXPECT_EQ(stats.value("cpu.busy_ns"), 53);
 }
 
 TEST(ServerTest, CompletionMaySubmitFollowOnWork) {
