@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/stats.hpp"
 #include "core/types.hpp"
 #include "sim/engine.hpp"
+#include "sim/server.hpp"
 #include "warped/lp.hpp"
 #include "warped/object.hpp"
 
@@ -38,40 +40,30 @@ std::uint64_t mix(std::uint64_t& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine churn: new scheduler vs the pre-optimization reference.
+// Engine churn: descriptor tasks vs the pre-optimization reference.
 // ---------------------------------------------------------------------------
 
-// Faithful copy of the scheduler this PR replaced: binary heap of (when,seq)
-// + id->std::function hash map, cancellation via lazy tombstones. Kept ONLY
-// as the baseline half of micro/engine/schedule_run_churn_legacy, so the
-// BENCH json always shows what the slot-indexed heap buys.
+// Faithful copy of the scheduler before the allocation-free engine: binary heap
+// of (when,seq) + id->std::function hash map. Kept ONLY as the baseline half
+// of micro/engine/run_churn_legacy, so the BENCH json always shows what the
+// descriptor heap buys.
 class LegacyEngine {
  public:
   using Callback = std::function<void()>;
-  struct Handle {
-    std::uint64_t id{0};
-  };
 
   SimTime now() const { return now_; }
 
-  Handle schedule(SimTime delay, Callback fn) {
+  void schedule(SimTime delay, Callback fn) {
     const std::uint64_t id = next_seq_++;
     heap_.push(HeapEntry{now_ + delay, id});
     tasks_.emplace(id, std::move(fn));
-    return Handle{id};
   }
-
-  bool cancel(Handle h) { return tasks_.erase(h.id) > 0; }
 
   std::uint64_t run_until(SimTime deadline) {
     std::uint64_t ran = 0;
     while (!heap_.empty()) {
       const HeapEntry top = heap_.top();
       auto it = tasks_.find(top.seq);
-      if (it == tasks_.end()) {  // cancelled
-        heap_.pop();
-        continue;
-      }
       if (top.when > deadline) break;
       heap_.pop();
       Callback fn = std::move(it->second);
@@ -98,48 +90,76 @@ class LegacyEngine {
   std::unordered_map<std::uint64_t, Callback> tasks_;
 };
 
-// The churn workload, identical across engines: 64 self-rescheduling actors,
-// each activation folds the checksum, cancels one previously-scheduled
-// far-future "doomed" task, and schedules its successor plus a fresh doomed
-// task. This exercises exactly the schedule/cancel/pop-min cycle the kernel
-// and NIC firmware drive on every simulated packet. Actor captures are 24
-// bytes — representative of the kernel's host-task closures, and (on
-// purpose) past std::function's inline buffer.
-constexpr std::int64_t kTarget = 3000000;      // executed activations
+// The churn workload, identical across engines: 64 self-rescheduling actors;
+// each activation folds the checksum and schedules its successor 1..97 ns
+// later — the schedule/pop-min cycle every server completion drives. The
+// engine twin schedules Target descriptors {actor, salt}; the legacy twin
+// schedules 24-byte closures, past std::function's inline buffer, as the
+// kernel's host-task closures were.
+constexpr std::int64_t kTarget = 3000000;  // executed activations
 constexpr int kActors = 64;
-constexpr std::int64_t kDoomedAt = 1LL << 60;  // never reached by run_until
 
-template <typename E>
-MicroResult engine_churn() {
-  using Handle = decltype(std::declval<E&>().schedule(
-      SimTime{}, std::declval<typename E::Callback>()));
+struct ChurnTally {
+  std::int64_t remaining{kTarget};
+  std::int64_t sum{0};
+  std::uint64_t rng{12345};
 
+  // Folds one activation; returns false once the budget is spent, else the
+  // successor's delay and salt.
+  bool step(std::uint64_t id, std::uint64_t salt, std::int64_t& delay,
+            std::uint64_t& next_salt) {
+    sum += static_cast<std::int64_t>(id * 31 + (salt & 0xFF));
+    if (remaining-- <= 0) return false;
+    next_salt = mix(rng);
+    delay = static_cast<std::int64_t>(1 + next_salt % 97);
+    return true;
+  }
+};
+
+MicroResult engine_run_churn() {
+  // arg = actor id in the low 32 bits, salt & 0xFF above them.
+  struct Actors final : sim::Target {
+    sim::Engine eng;
+    ChurnTally tally;
+    void fire(std::uint64_t arg) override {
+      std::int64_t delay = 0;
+      std::uint64_t salt = 0;
+      const std::uint64_t id = arg & 0xFFFFFFFFu;
+      if (!tally.step(id, arg >> 32, delay, salt)) return;
+      eng.schedule(SimTime{delay}, *this, id | ((salt & 0xFF) << 32));
+    }
+  };
+  auto st = std::make_unique<Actors>();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int a = 0; a < kActors; ++a) {
+    st->eng.schedule(SimTime{1 + a}, *st, static_cast<std::uint64_t>(a));
+  }
+  const std::uint64_t ran = st->eng.run();
+
+  MicroResult r;
+  r.wall_seconds = seconds_since(t0);
+  r.ops = static_cast<std::int64_t>(ran);
+  r.checksum = st->tally.sum ^ st->eng.now().ns;
+  return r;
+}
+
+MicroResult engine_run_churn_legacy() {
   struct St {
-    E eng;
-    std::int64_t remaining{kTarget};
-    std::int64_t sum{0};
-    std::uint64_t rng{12345};
-    std::vector<Handle> doomed;
+    LegacyEngine eng;
+    ChurnTally tally;
   };
   auto st = std::make_unique<St>();
-  st->doomed.reserve(kActors + 4);
 
   struct Actor {
     St* s;
     std::uint64_t id;
     std::uint64_t salt;
     void operator()() {
-      s->sum += static_cast<std::int64_t>(id * 31 + (salt & 0xFF));
-      if (s->remaining-- <= 0) return;
-      if (!s->doomed.empty()) {
-        s->eng.cancel(s->doomed.back());
-        s->doomed.pop_back();
-      }
-      const std::uint64_t r = mix(s->rng);
-      s->eng.schedule(SimTime{static_cast<std::int64_t>(1 + r % 97)},
-                      Actor{s, id, r});
-      s->doomed.push_back(
-          s->eng.schedule(SimTime{kDoomedAt}, Actor{s, id ^ 0xDEAD, r}));
+      std::int64_t delay = 0;
+      std::uint64_t next = 0;
+      if (!s->tally.step(id, salt, delay, next)) return;
+      s->eng.schedule(SimTime{delay}, Actor{s, id, next});
     }
   };
 
@@ -147,51 +167,164 @@ MicroResult engine_churn() {
   for (int a = 0; a < kActors; ++a) {
     st->eng.schedule(SimTime{1 + a}, Actor{st.get(), static_cast<std::uint64_t>(a), 0});
   }
-  const std::uint64_t ran = st->eng.run_until(SimTime{kDoomedAt - 1});
+  const std::uint64_t ran = st->eng.run_until(SimTime::max());
 
   MicroResult r;
   r.wall_seconds = seconds_since(t0);
   r.ops = static_cast<std::int64_t>(ran);
-  r.checksum = st->sum ^ st->eng.now().ns;
+  r.checksum = st->tally.sum ^ st->eng.now().ns;
   return r;
 }
 
-// Pure schedule+cancel-by-handle churn (no execution): fills the slot pool,
-// cancels from both ends, refills — the O(1)-cancel path in isolation.
-MicroResult engine_cancel_churn() {
-  constexpr int kRounds = 400;
-  constexpr int kBatch = 25000;
-  sim::Engine eng;
-  std::vector<sim::TaskHandle> handles;
-  handles.reserve(kBatch);
-  std::int64_t ops = 0;
-  std::int64_t alive = 0;
+// ---------------------------------------------------------------------------
+// Server job churn: descriptor jobs vs the deque-of-closures Server.
+// ---------------------------------------------------------------------------
 
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int round = 0; round < kRounds; ++round) {
-    handles.clear();
-    for (int i = 0; i < kBatch; ++i) {
-      handles.push_back(
-          eng.schedule(SimTime{1 + ((i * 7919) % 1000)}, [&alive] { ++alive; }));
-      ++ops;
+// Faithful copy of sim::Server before its jobs became descriptors: a
+// std::deque of {WorkFn, CompletionFn} closures, with a constant cost
+// wrapped in a WorkFn and an engine closure per completion. Kept ONLY as the
+// baseline half of micro/server/job_churn_legacy.
+class LegacyServer {
+ public:
+  using WorkFn = SmallFn<SimTime(), 64>;
+  using CompletionFn = SmallFn<void(), 64>;
+
+  LegacyServer(sim::Engine& engine, std::string name, StatsRegistry* stats)
+      : engine_(engine), name_(std::move(name)), stats_(stats) {
+    if (stats_ != nullptr) {
+      jobs_ = CounterHandle(*stats_, name_.c_str(), ".jobs");
+      busy_ns_ = CounterHandle(*stats_, name_.c_str(), ".busy_ns");
     }
-    // Cancel from both ends toward the middle; leave every 16th to run.
-    std::size_t lo = 0, hi = handles.size();
-    while (lo < hi) {
-      if (lo % 16 != 0 && eng.cancel(handles[lo])) ++ops;
-      ++lo;
-      if (lo >= hi) break;
-      --hi;
-      if (hi % 16 != 0 && eng.cancel(handles[hi])) ++ops;
-    }
-    ops += static_cast<std::int64_t>(eng.run_until(eng.now() + SimTime{2000}));
+  }
+  LegacyServer(const LegacyServer&) = delete;
+  LegacyServer& operator=(const LegacyServer&) = delete;
+
+  void submit(SimTime cost, CompletionFn on_complete) {
+    submit_dynamic([cost] { return cost; }, std::move(on_complete));
   }
 
-  MicroResult r;
-  r.wall_seconds = seconds_since(t0);
-  r.ops = ops;
-  r.checksum = alive ^ eng.now().ns ^ static_cast<std::int64_t>(eng.executed());
-  return r;
+  void submit_dynamic(WorkFn work, CompletionFn on_complete) {
+    queue_.push_back(Job{std::move(work), std::move(on_complete)});
+    if (!busy_) start_next();
+  }
+
+ private:
+  void start_next() {
+    if (queue_.empty()) {
+      busy_ = false;
+      return;
+    }
+    busy_ = true;
+    const SimTime cost = queue_.front().work();
+    engine_.schedule(cost, [this, cost] { finish(cost); });
+  }
+
+  void finish(SimTime cost) {
+    if (stats_ != nullptr) {
+      jobs_.add(1);
+      busy_ns_.add(cost.ns);
+    }
+    CompletionFn fn = std::move(queue_.front().on_complete);
+    queue_.pop_front();
+    if (fn) fn();
+    start_next();
+  }
+
+  sim::Engine& engine_;
+  std::string name_;
+  StatsRegistry* stats_;
+  CounterHandle jobs_;
+  CounterHandle busy_ns_;
+  struct Job {
+    WorkFn work;
+    CompletionFn on_complete;
+  };
+  std::deque<Job> queue_;
+  bool busy_{false};
+};
+
+// The pipeline, identical across servers: 256 tokens circulate through 8
+// FIFO servers, the shape of a packet's host -> bus -> NIC -> link -> NIC ->
+// bus -> host walk. Even stages have a fixed cost; odd stages give theirs at
+// service start, like the NIC firmware hooks. Each completion folds the
+// checksum and submits the token to the next stage.
+constexpr std::uint32_t kPipeStages = 8;
+constexpr std::uint64_t kPipeTokens = 256;
+constexpr std::int64_t kPipeJobs = 2000000;
+
+SimTime pipe_cost(std::uint32_t stage, std::uint64_t token) {
+  return SimTime{static_cast<std::int64_t>(1 + ((token * 0x9E3779B97F4A7C15ULL) >> 59) + stage)};
+}
+
+template <typename Derived, typename ServerT>
+struct Pipeline {
+  sim::Engine eng;
+  StatsRegistry stats;
+  std::vector<std::unique_ptr<ServerT>> servers;
+  std::int64_t jobs_left{kPipeJobs};
+  std::int64_t sum{0};
+
+  void fold(std::uint32_t stage, std::uint64_t token) {
+    sum += static_cast<std::int64_t>((token ^ stage) + static_cast<std::uint64_t>(eng.now().ns));
+  }
+
+  MicroResult run() {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint32_t k = 0; k < kPipeStages; ++k) {
+      servers.push_back(std::make_unique<ServerT>(eng, "pipe" + std::to_string(k), &stats));
+    }
+    for (std::uint64_t t = 0; t < kPipeTokens; ++t) {
+      static_cast<Derived*>(this)->submit(static_cast<std::uint32_t>(t % kPipeStages),
+                                          t << 32);
+    }
+    eng.run();
+    MicroResult r;
+    r.wall_seconds = seconds_since(t0);
+    for (std::uint32_t k = 0; k < kPipeStages; ++k) {
+      r.ops += stats.value("pipe" + std::to_string(k) + ".jobs");
+    }
+    r.checksum = sum ^ eng.now().ns;
+    return r;
+  }
+};
+
+struct DescriptorPipe final : Pipeline<DescriptorPipe, sim::Server>, sim::Owner {
+  void submit(std::uint32_t stage, std::uint64_t token) {
+    if (jobs_left-- <= 0) return;
+    if (stage % 2 == 0) {
+      servers[stage]->submit(pipe_cost(stage, token), *this, stage, token);
+    } else {
+      servers[stage]->submit_dynamic(*this, stage, token);
+    }
+  }
+  SimTime start_job(std::uint32_t stage, std::uint64_t token) override {
+    return pipe_cost(stage, token);
+  }
+  void finish_job(std::uint32_t stage, std::uint64_t token) override {
+    fold(stage, token);
+    submit((stage + 1) % kPipeStages, token + 1);
+  }
+};
+
+struct LegacyPipe final : Pipeline<LegacyPipe, LegacyServer> {
+  void submit(std::uint32_t stage, std::uint64_t token) {
+    if (jobs_left-- <= 0) return;
+    auto done = [this, stage, token] {
+      fold(stage, token);
+      submit((stage + 1) % kPipeStages, token + 1);
+    };
+    if (stage % 2 == 0) {
+      servers[stage]->submit(pipe_cost(stage, token), done);
+    } else {
+      servers[stage]->submit_dynamic([stage, token] { return pipe_cost(stage, token); },
+                                     done);
+    }
+  }
+};
+
+template <typename Pipe>
+MicroResult server_job_churn() {
+  return std::make_unique<Pipe>()->run();
 }
 
 // ---------------------------------------------------------------------------
@@ -469,10 +602,10 @@ MicroResult lp_state_churn_legacy() {
 const std::vector<MicroBench>& micro_benches() {
   static const std::vector<MicroBench> kBenches = [] {
     std::vector<MicroBench> v = {
-        {"micro/engine/schedule_run_churn", [] { return engine_churn<sim::Engine>(); }},
-        {"micro/engine/schedule_run_churn_legacy",
-         [] { return engine_churn<LegacyEngine>(); }},
-        {"micro/engine/cancel_churn", engine_cancel_churn},
+        {"micro/engine/run_churn", engine_run_churn},
+        {"micro/engine/run_churn_legacy", engine_run_churn_legacy},
+        {"micro/server/job_churn", server_job_churn<DescriptorPipe>},
+        {"micro/server/job_churn_legacy", server_job_churn<LegacyPipe>},
         {"micro/lp/insert_annihilate", lp_insert_annihilate},
         {"micro/lp/rollback_churn", lp_rollback_churn},
         {"micro/lp/state_churn", lp_state_churn_incremental},

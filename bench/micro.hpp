@@ -1,18 +1,18 @@
 // Hot-path micro benchmarks for the `micro` bench group.
 //
 // These measure the discrete-event core directly — no testbed, no model —
-// so a regression in Engine::schedule/cancel/run or the LogicalProcess
-// pending-queue machinery shows up as a wall-clock jump on exactly the
-// operation that slowed down, not as noise inside an end-to-end scenario.
-// Each bench runs a fixed deterministic workload: `ops` and `checksum` gate
-// bit-exactly (tools/bench_compare.py --tolerance=0) while `wall_seconds`
-// gates loosely (--wall-tolerance).
+// so a regression in Engine::schedule/run, Server jobs or the
+// LogicalProcess pending-queue machinery shows up as a wall-clock jump on
+// exactly the operation that slowed down, not as noise inside an end-to-end
+// scenario. Each bench runs a fixed deterministic workload: `ops` and
+// `checksum` gate bit-exactly (tools/bench_compare.py --tolerance=0) while
+// `wall_seconds` gates loosely (--wall-tolerance).
 //
-// `micro/engine/schedule_run_churn_legacy` runs the same workload on a
-// faithful copy of the pre-optimization scheduler (std::priority_queue +
-// unordered_map + std::function with lazy tombstones), kept as a reference
-// so the speedup of the slot-indexed heap stays visible — and honest — in
-// every BENCH json.
+// Each `_legacy` twin runs the same workload on a faithful copy of the code
+// path it replaced — `micro/engine/run_churn_legacy` on the
+// std::priority_queue + unordered_map + std::function scheduler,
+// `micro/server/job_churn_legacy` on the deque-of-closures Server — so the
+// speedup stays visible, and honest, in every BENCH json.
 #pragma once
 
 #include <cstdint>

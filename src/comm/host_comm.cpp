@@ -72,15 +72,18 @@ bool HostComm::is_sequenced(const hw::Packet& pkt) const {
   return false;
 }
 
-void HostComm::send(hw::Packet pkt) {
-  NW_CHECK_MSG(pkt.hdr.dst != node_.id(), "local delivery must bypass HostComm");
-  pkt.hdr.src = node_.id();
+void HostComm::send(hw::Packet pkt) { send(pool_.acquire(std::move(pkt))); }
+
+void HostComm::send(hw::PacketRef ref) {
+  hw::PacketHeader& hdr = pool_.get(ref).hdr;
+  NW_CHECK_MSG(hdr.dst != node_.id(), "local delivery must bypass HostComm");
+  hdr.src = node_.id();
   // Latency pipeline origin: stamped before any staging/backpressure so the
   // delivery histogram includes credit-stall and NIC-queue time.
-  if (pkt.hdr.kind == hw::PacketKind::kEvent && latency_.enabled()) {
-    pkt.hdr.sent_at = node_.engine().now();
+  if (hdr.kind == hw::PacketKind::kEvent && latency_.enabled()) {
+    hdr.sent_at = node_.engine().now();
   }
-  send_ref(pool_.acquire(std::move(pkt)));
+  send_ref(ref);
 }
 
 void HostComm::send_ref(hw::PacketRef ref) {
@@ -313,7 +316,7 @@ void HostComm::check_stalls() {
         }
         // Resynchronize: recover the full window after a costly host-side
         // timeout handler. Retries back off exponentially.
-        node_.run_host_task(node_.cost().us(node_.cost().host_msg_recv_us * 4), [] {});
+        node_.run_host_task(node_.cost().us(node_.cost().host_msg_recv_us * 4), nullptr);
         ch.resynced = true;
         ch.next_resync_ok =
             node_.engine().now() +

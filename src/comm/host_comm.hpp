@@ -61,6 +61,8 @@ class HostComm {
   // it behind flow control / NIC backpressure. Per-destination FIFO order is
   // preserved.
   void send(hw::Packet pkt);
+  // Same, for a packet already in the node's pool; takes ownership of `ref`.
+  void send(hw::PacketRef ref);
 
   // Upcall for every application-level packet (events, GVT control…) that
   // clears the stack; runs in host-task context.

@@ -21,14 +21,6 @@ const char* level_tag(LogLevel lvl) {
 }
 }  // namespace
 
-std::uint64_t traced_event() {
-  static const std::uint64_t id = [] {
-    const char* e = std::getenv("NICWARP_TRACE_EVENT");
-    return e ? std::strtoull(e, nullptr, 10) : 0ULL;
-  }();
-  return id;
-}
-
 LogLevel parse_log_level(const char* text, LogLevel fallback) {
   if (text == nullptr || *text == '\0') return fallback;
   std::string lower;

@@ -5,7 +5,6 @@
 // inline global and formatting cost is only paid when enabled.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -23,11 +22,6 @@ void set_log_level(LogLevel lvl);
 // Exposed for tests: parses a NICWARP_LOG_LEVEL value (case-insensitive
 // name or integer); nullptr/garbage returns `fallback`.
 LogLevel parse_log_level(const char* text, LogLevel fallback);
-
-// Event-id trace hook for debugging message lifecycle: set the
-// NICWARP_TRACE_EVENT environment variable to a decimal event id and every
-// instrumented site will log when it touches that event.
-std::uint64_t traced_event();
 
 // printf-style; callers go through the NW_LOG_* macros below.
 void log_line(LogLevel lvl, const char* fmt, ...) __attribute__((format(printf, 2, 3)));

@@ -1,7 +1,6 @@
 #include "firmware/cancel_firmware.hpp"
 
 #include "core/assert.hpp"
-#include "core/log.hpp"
 
 namespace nicwarp::firmware {
 
@@ -58,11 +57,6 @@ bool CancelFirmware::record_drop(const hw::PacketHeader& hdr, EventId cause_anti
                           hdr.dst, hdr.event_id, 0,
                           cause_anti != kInvalidEvent ? cause_anti : 0});
   }
-  if (hdr.event_id == traced_event()) {
-    std::fprintf(stderr, "[trace %llu] DROPPED at nic=%u send_ts=%lld counter=%llu t=%lld\n",
-                 (unsigned long long)hdr.event_id, ctx_->node_id(), (long long)hdr.send_ts.t,
-                 (unsigned long long)hdr.anti_counter_pb, (long long)ctx_->now().ns);
-  }
   return true;
 }
 
@@ -95,11 +89,6 @@ hw::Firmware::HookResult CancelFirmware::on_host_tx(hw::Packet& pkt) {
         ctx_->trace().record({ctx_->now(), pkt.hdr.recv_ts, TraceCat::kCancel,
                               TracePoint::kCancelFilterAnti, true, ctx_->node_id(),
                               pkt.hdr.dst, pkt.hdr.event_id, /*a=in_ring*/ 0, 0});
-      }
-      if (pkt.hdr.event_id == traced_event()) {
-        std::fprintf(stderr, "[trace %llu] ANTI FILTERED (host_tx) nic=%u t=%lld\n",
-                     (unsigned long long)pkt.hdr.event_id, ctx_->node_id(),
-                     (long long)ctx_->now().ns);
       }
       return {Action::kDrop, cost};
     }
@@ -173,11 +162,6 @@ SimTime CancelFirmware::scan_send_ring() {
         ctx_->trace().record({ctx_->now(), p.hdr.recv_ts, TraceCat::kCancel,
                               TracePoint::kCancelFilterAnti, true, ctx_->node_id(),
                               p.hdr.dst, p.hdr.event_id, /*a=in_ring*/ 1, 0});
-      }
-      if (p.hdr.event_id == traced_event()) {
-        std::fprintf(stderr, "[trace %llu] ANTI FILTERED (ring) nic=%u t=%lld\n",
-                     (unsigned long long)p.hdr.event_id, ctx_->node_id(),
-                     (long long)ctx_->now().ns);
       }
       ctx_->drop_from_send_ring(i);
       continue;

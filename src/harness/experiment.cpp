@@ -432,7 +432,8 @@ ExperimentResult extract_result(Testbed& tb, bool completed) {
     r.state_save_bytes += static_cast<std::int64_t>(lp.state_save_bytes());
     r.undo_bytes_logged += static_cast<std::int64_t>(lp.undo_bytes_logged());
     r.undo_rewinds += static_cast<std::int64_t>(lp.undo_rewinds());
-    r.signature += lp.signature_sum();
+    r.signature = static_cast<std::int64_t>(static_cast<std::uint64_t>(r.signature) +
+                                            static_cast<std::uint64_t>(lp.signature_sum()));
     r.final_gvt = VirtualTime::max(r.final_gvt, k->gvt());
   }
   r.committed_events = r.events_processed - r.events_rolled_back;

@@ -20,7 +20,9 @@ Network::Network(sim::Engine& engine, StatsRegistry& stats, const CostModel& cos
       fault_corrupts_(stats, "net.fault_corrupts"),
       fault_delays_(stats, "net.fault_delays"),
       fault_dups_(stats, "net.fault_dups") {
+  NW_CHECK_MSG(num_nodes < (1u << 31), "link stage packs src << 1");
   links_.reserve(num_nodes);
+  clients_.assign(num_nodes, nullptr);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     links_.push_back(
         std::make_unique<sim::Server>(engine, "link" + std::to_string(i), &stats));
@@ -37,30 +39,41 @@ void Network::set_fault_plan(const FaultPlan& plan) {
   }
 }
 
-void Network::transmit(NodeId src, PacketRef ref, std::function<void()> on_link_free) {
+void Network::set_link_client(NodeId src, LinkClient& client) {
+  NW_CHECK(src < clients_.size());
+  clients_[src] = &client;
+}
+
+void Network::transmit(NodeId src, PacketRef ref, bool host_pkt) {
   NW_CHECK(src < links_.size());
   const PacketHeader& hdr = pool_.get(ref).hdr;
   NW_CHECK_MSG(hdr.dst < links_.size(), "packet to unknown node");
   NW_CHECK_MSG(hdr.dst != src, "network loopback not modelled; local sends bypass the NIC");
-  const SimTime serialize = cost_.wire_time(hdr.size_bytes);
-  links_[src]->submit(
-      serialize, [this, src, ref, done = std::move(on_link_free)]() mutable {
-        const PacketHeader& h = pool_.get(ref).hdr;
-        packets_.add(1);
-        bytes_.add(h.size_bytes);
-        if (entity_.enabled()) entity_.record_link_packet(src, h.dst, h.size_bytes);
-        if (h.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
-          trace_.record({engine_.now(), h.recv_ts, TraceCat::kMsg,
-                         TracePoint::kWireDepart, h.negative, src, h.dst,
-                         h.event_id, h.size_bytes, 0});
-        }
-        if (done) done();
-        if (fault_.enabled()) {
-          deliver_with_faults(src, ref);
-        } else {
-          schedule_delivery(ref, SimTime::zero());
-        }
-      });
+  links_[src]->submit(cost_.wire_time(hdr.size_bytes), *this,
+                      (src << 1) | (host_pkt ? 1u : 0u), ref.bits());
+}
+
+SimTime Network::start_job(std::uint32_t, std::uint64_t) {
+  NW_UNREACHABLE("link jobs have a fixed cost");
+}
+
+void Network::finish_job(std::uint32_t stage, std::uint64_t arg) {
+  const NodeId src = stage >> 1;
+  const PacketRef ref = PacketRef::from_bits(arg);
+  const PacketHeader& h = pool_.get(ref).hdr;
+  packets_.add(1);
+  bytes_.add(h.size_bytes);
+  if (entity_.enabled()) entity_.record_link_packet(src, h.dst, h.size_bytes);
+  if (h.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
+    trace_.record({engine_.now(), h.recv_ts, TraceCat::kMsg, TracePoint::kWireDepart,
+                   h.negative, src, h.dst, h.event_id, h.size_bytes, 0});
+  }
+  if (clients_[src] != nullptr) clients_[src]->on_link_free((stage & 1u) != 0);
+  if (fault_.enabled()) {
+    deliver_with_faults(src, ref);
+  } else {
+    schedule_delivery(ref, SimTime::zero());
+  }
 }
 
 void Network::schedule_delivery(PacketRef ref, SimTime extra) {
@@ -74,10 +87,13 @@ void Network::schedule_delivery(PacketRef ref, SimTime extra) {
     remote_push_(dst, engine_.now() + dt, pool_.take(ref));
     return;
   }
-  engine_.schedule(dt, [this, dst, ref] {
-    ++delivered_;
-    sink_(dst, ref);
-  });
+  engine_.schedule(dt, *this, ref.bits());
+}
+
+void Network::fire(std::uint64_t arg) {
+  const PacketRef ref = PacketRef::from_bits(arg);
+  ++delivered_;
+  sink_(pool_.get(ref).hdr.dst, ref);
 }
 
 void Network::deliver_with_faults(NodeId src, PacketRef ref) {

@@ -26,7 +26,21 @@
 
 namespace nicwarp::hw {
 
-class Network {
+// The component transmitting on an injection link (the node's NIC). It is
+// registered once per link and told each time the link has finished
+// serializing one of its packets.
+class LinkClient {
+ public:
+  // `host_pkt` echoes the flag the packet was transmitted with.
+  virtual void on_link_free(bool host_pkt) = 0;
+
+ protected:
+  ~LinkClient() = default;
+};
+
+// Owns the link-serialization jobs (stage = src << 1 | host_pkt) and, as an
+// engine Target, the delivery after link latency (arg = the packed ref).
+class Network final : private sim::Owner, private sim::Target {
  public:
   using Sink = std::function<void(NodeId dst, PacketRef ref)>;
 
@@ -36,8 +50,15 @@ class Network {
           PacketPool& pool, std::uint32_t num_nodes, TraceRecorder* trace = nullptr,
           EntityStats* entity = nullptr);
 
+  // Engine tasks and link jobs hold `this`.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+
   // Routes packets that complete wire traversal; set once by the Cluster.
   void set_sink(Sink sink) { sink_ = std::move(sink); }
+
+  // Registers the client of `src`'s injection link; set once by its NIC.
+  void set_link_client(NodeId src, LinkClient& client);
 
   // Cross-shard egress (sharded clusters only; see docs/SHARDING.md). When
   // `is_remote[dst]` is set, a packet completing wire traversal is moved OUT
@@ -61,10 +82,11 @@ class Network {
   const FaultPlan& fault_plan() const { return fault_; }
 
   // Transmits the pooled packet from `src`'s injection link, taking ownership
-  // of the ref. `on_link_free` fires when the link has finished serializing
-  // the packet (the NIC may then start the next send-ring entry); delivery at
-  // the destination happens `link_latency` later.
-  void transmit(NodeId src, PacketRef ref, std::function<void()> on_link_free);
+  // of the ref. The link's client hears on_link_free(host_pkt) when the link
+  // has finished serializing the packet (the NIC may then start the next
+  // send-ring entry); delivery at the destination happens `link_latency`
+  // later.
+  void transmit(NodeId src, PacketRef ref, bool host_pkt);
 
   std::uint64_t packets_delivered() const { return delivered_; }
 
@@ -75,6 +97,7 @@ class Network {
   const CostModel& cost_;
   PacketPool& pool_;
   std::vector<std::unique_ptr<sim::Server>> links_;
+  std::vector<LinkClient*> clients_;  // per link; null until registered
   Sink sink_;
   std::vector<std::uint8_t> remote_;  // empty unless sharded (1 = off-shard dst)
   RemotePush remote_push_;
@@ -88,6 +111,13 @@ class Network {
   CounterHandle fault_corrupts_;
   CounterHandle fault_delays_;
   CounterHandle fault_dups_;
+
+  // Link serialization has fixed cost, so start_job is never called.
+  SimTime start_job(std::uint32_t stage, std::uint64_t arg) override;
+  // A link finished serializing a packet.
+  void finish_job(std::uint32_t stage, std::uint64_t arg) override;
+  // A packet reached its destination after link latency.
+  void fire(std::uint64_t arg) override;
 
   // Applies the fault plan to one serialized packet; schedules 0, 1, or 2
   // deliveries. Called from the link-completion path when fault_.enabled().

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/assert.hpp"
-#include "core/log.hpp"
 
 namespace nicwarp::hw {
 
@@ -38,6 +37,7 @@ Nic::Nic(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, NodeI
   rel_tx_.resize(world_size_);
   rel_rx_.resize(world_size_);
   firmware_->attach(*this);
+  network_.set_link_client(id_, *this);
 }
 
 bool Nic::tx_slot_available() const {
@@ -50,41 +50,95 @@ void Nic::reserve_tx_slot() {
   if (entity_.enabled()) entity_.note_ring_occupancy(id_, slots_in_use_);
 }
 
-void Nic::accept_from_host(PacketRef ref) {
-  nic_cpu_.submit_dynamic(
-      [this, ref] {
-        const Firmware::HookResult r = firmware_->on_host_tx(pool_.get(ref));
-        pending_action_ = r.action;
-        return r.cost;
-      },
-      [this, ref] {
-        const PacketHeader& hdr = pool_.get(ref).hdr;
-        switch (pending_action_) {
-          case Firmware::Action::kForward:
-            if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
-              trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg,
-                             TracePoint::kNicStage, hdr.negative, id_, hdr.dst,
-                             hdr.event_id, send_ring_.size(), 0});
-            }
-            NW_CHECK(send_ring_.try_push(ref));  // slots_in_use_ bounds the ring
-            pump_tx();
-            break;
-          case Firmware::Action::kDrop:
-          case Firmware::Action::kConsume:
-            if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
-              trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg,
-                             TracePoint::kNicDropTx, hdr.negative, id_, hdr.dst,
-                             hdr.event_id, 0, 0});
-            }
-            // The packet never reaches the wire; its slot frees immediately.
-            rel_record_void(hdr.dst, hdr.bip_seq);
-            pool_.release(ref);
-            NW_CHECK(slots_in_use_ > 0);
-            --slots_in_use_;
-            if (tx_slot_freed_) tx_slot_freed_();
-            break;
-        }
-      });
+SimTime Nic::start_job(std::uint32_t stage, std::uint64_t arg) {
+  Packet& pkt = pool_.get(PacketRef::from_bits(arg));
+  switch (static_cast<Stage>(stage)) {
+    case kHostTx: {
+      const Firmware::HookResult r = firmware_->on_host_tx(pkt);
+      pending_action_ = r.action;
+      return r.cost;
+    }
+    case kWireTxHost:
+    case kWireTxCtrl:
+      return firmware_->on_wire_tx(pkt);
+    case kWireTxRetx:
+      // A replay is a stored-copy DMA out of SRAM; the firmware hooks
+      // already ran (and counted) the original, so they must not run again.
+      return cost_.us(cost_.nic_retx_us);
+    case kNetRx: {
+      SimTime rel_cost = SimTime::zero();
+      if (cost_.rel_enabled && !rel_rx_process(pkt, rel_cost)) {
+        pending_action_ = Firmware::Action::kConsume;
+        return rel_cost;
+      }
+      const Firmware::HookResult r = firmware_->on_net_rx(pkt);
+      pending_action_ = r.action;
+      return r.cost + rel_cost;
+    }
+    case kRxDma:
+      break;
+  }
+  NW_UNREACHABLE("NIC job stage without a start hook");
+}
+
+void Nic::finish_job(std::uint32_t stage, std::uint64_t arg) {
+  const PacketRef ref = PacketRef::from_bits(arg);
+  switch (static_cast<Stage>(stage)) {
+    case kHostTx:
+      finish_host_tx(ref);
+      return;
+    case kWireTxHost:
+    case kWireTxCtrl:
+    case kWireTxRetx: {
+      const bool host_pkt = stage == kWireTxHost;
+      if (cost_.rel_enabled) rel_stamp_outgoing(ref, host_pkt);
+      network_.transmit(id_, ref, host_pkt);
+      return;
+    }
+    case kNetRx:
+      if (pending_action_ == Firmware::Action::kForward) {
+        deliver_ref_to_host(ref);
+      } else {
+        // kDrop / kConsume: the packet dies on the NIC, saving the bus
+        // crossing and the host receive path entirely.
+        pool_.release(ref);
+      }
+      return;
+    case kRxDma:
+      NW_CHECK(host_deliver_ != nullptr);
+      host_deliver_(ref);
+      return;
+  }
+  NW_UNREACHABLE("unknown NIC job stage");
+}
+
+void Nic::finish_host_tx(PacketRef ref) {
+  const PacketHeader& hdr = pool_.get(ref).hdr;
+  switch (pending_action_) {
+    case Firmware::Action::kForward:
+      if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
+        trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg,
+                       TracePoint::kNicStage, hdr.negative, id_, hdr.dst,
+                       hdr.event_id, send_ring_.size(), 0});
+      }
+      NW_CHECK(send_ring_.try_push(ref));  // slots_in_use_ bounds the ring
+      pump_tx();
+      break;
+    case Firmware::Action::kDrop:
+    case Firmware::Action::kConsume:
+      if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
+        trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg,
+                       TracePoint::kNicDropTx, hdr.negative, id_, hdr.dst,
+                       hdr.event_id, 0, 0});
+      }
+      // The packet never reaches the wire; its slot frees immediately.
+      rel_record_void(hdr.dst, hdr.bip_seq);
+      pool_.release(ref);
+      NW_CHECK(slots_in_use_ > 0);
+      --slots_in_use_;
+      if (tx_slot_freed_) tx_slot_freed_();
+      break;
+  }
 }
 
 const Packet& Nic::send_ring_at(std::size_t i) const {
@@ -127,10 +181,8 @@ void Nic::deliver_to_host(Packet pkt) {
 }
 
 void Nic::deliver_ref_to_host(PacketRef ref) {
-  bus_.submit(cost_.bus_transfer(pool_.get(ref).hdr.size_bytes), [this, ref] {
-    NW_CHECK(host_deliver_ != nullptr);
-    host_deliver_(ref);
-  });
+  bus_.submit(cost_.bus_transfer(pool_.get(ref).hdr.size_bytes), *this, kRxDma,
+              ref.bits());
 }
 
 void Nic::schedule(SimTime delay, SmallFn<SimTime(), 64> fn) {
@@ -143,95 +195,56 @@ void Nic::pump_tx() {
   if (tx_busy_) return;
   // Reliability replays first (they unblock a stalled receiver), then
   // NIC-generated control traffic, then the host send ring.
-  const bool from_retx = !retx_queue_.empty();
-  const bool from_ctrl = !from_retx && !ctrl_queue_.empty();
-  if (!from_retx && !from_ctrl && send_ring_.empty()) return;
+  PacketRef ref;
+  Stage stage;
+  if (!retx_queue_.empty()) {
+    ref = retx_queue_.pop_front();
+    stage = kWireTxRetx;
+  } else if (!ctrl_queue_.empty()) {
+    ref = ctrl_queue_.pop_front();
+    stage = kWireTxCtrl;
+  } else if (!send_ring_.empty()) {
+    ref = send_ring_.pop();
+    stage = kWireTxHost;
+  } else {
+    return;
+  }
   tx_busy_ = true;
 
-  PacketRef ref;
-  if (from_retx) {
-    ref = retx_queue_.pop_front();
-  } else if (from_ctrl) {
-    ref = ctrl_queue_.pop_front();
-  } else {
-    ref = send_ring_.pop();
-  }
-
   const PacketHeader& hdr = pool_.get(ref).hdr;
-  if (hdr.event_id == traced_event() && hdr.kind == PacketKind::kEvent) {
-    std::fprintf(stderr, "[trace %llu] WIRE-TX nic=%u neg=%d t=%lld\n",
-                 (unsigned long long)hdr.event_id, id_, hdr.negative ? 1 : 0,
-                 (long long)engine_.now().ns);
-  }
   if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
-    trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg,
-                   TracePoint::kWireTx, hdr.negative, id_, hdr.dst,
-                   hdr.event_id, from_retx ? 2u : (from_ctrl ? 1u : 0u), 0});
+    // The last field names the queue: 0 send ring, 1 control, 2 replay.
+    const std::uint64_t queue = stage == kWireTxRetx ? 2u : (stage == kWireTxCtrl ? 1u : 0u);
+    trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg, TracePoint::kWireTx,
+                   hdr.negative, id_, hdr.dst, hdr.event_id, queue, 0});
   }
-  nic_cpu_.submit_dynamic(
-      [this, ref, from_retx] {
-        // A replay is a stored-copy DMA out of SRAM; the firmware hooks
-        // already ran (and counted) the original, so they must not run again.
-        if (from_retx) return cost_.us(cost_.nic_retx_us);
-        return firmware_->on_wire_tx(pool_.get(ref));
-      },
-      [this, ref, from_ctrl, from_retx] {
-        const bool host_pkt = !from_ctrl && !from_retx;
-        if (cost_.rel_enabled) rel_stamp_outgoing(ref, host_pkt);
-        network_.transmit(id_, ref, [this, host_pkt] {
-          tx_busy_ = false;
-          if (host_pkt) {
-            // The SRAM buffer is recycled once the link drained the packet.
-            NW_CHECK(slots_in_use_ > 0);
-            --slots_in_use_;
-            if (tx_slot_freed_) tx_slot_freed_();
-          }
-          pump_tx();
-        });
-      });
+  nic_cpu_.submit_dynamic(*this, stage, ref.bits());
+}
+
+void Nic::on_link_free(bool host_pkt) {
+  tx_busy_ = false;
+  if (host_pkt) {
+    // The SRAM buffer is recycled once the link drained the packet.
+    NW_CHECK(slots_in_use_ > 0);
+    --slots_in_use_;
+    if (tx_slot_freed_) tx_slot_freed_();
+  }
+  pump_tx();
 }
 
 void Nic::receive_from_net(PacketRef ref) {
-  {
-    const PacketHeader& hdr = pool_.get(ref).hdr;
-    if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
-      trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg,
-                     TracePoint::kNicRx, hdr.negative, id_, hdr.src,
-                     hdr.event_id, 0, 0});
-    }
-    // NIC/link leg of the delivery pipeline: host send -> remote NIC rx.
-    // Counts every arriving copy (fault duplicates and replays included) —
-    // under chaos that inflation *is* the tail signal.
-    if (hdr.kind == PacketKind::kEvent && latency_.enabled() && hdr.sent_at.ns > 0) {
-      latency_.record_nic_wire((engine_.now() - hdr.sent_at).micros());
-    }
+  const PacketHeader& hdr = pool_.get(ref).hdr;
+  if (hdr.kind == PacketKind::kEvent && trace_.enabled(TraceCat::kMsg)) {
+    trace_.record({engine_.now(), hdr.recv_ts, TraceCat::kMsg, TracePoint::kNicRx,
+                   hdr.negative, id_, hdr.src, hdr.event_id, 0, 0});
   }
-  nic_cpu_.submit_dynamic(
-      [this, ref] {
-        Packet& pkt = pool_.get(ref);
-        if (cost_.rel_enabled) {
-          SimTime rel_cost = SimTime::zero();
-          if (!rel_rx_process(pkt, rel_cost)) {
-            pending_action_ = Firmware::Action::kConsume;
-            return rel_cost;
-          }
-          const Firmware::HookResult r = firmware_->on_net_rx(pkt);
-          pending_action_ = r.action;
-          return r.cost + rel_cost;
-        }
-        const Firmware::HookResult r = firmware_->on_net_rx(pkt);
-        pending_action_ = r.action;
-        return r.cost;
-      },
-      [this, ref] {
-        if (pending_action_ == Firmware::Action::kForward) {
-          deliver_ref_to_host(ref);
-        } else {
-          // kDrop / kConsume: the packet dies on the NIC, saving the bus
-          // crossing and the host receive path entirely.
-          pool_.release(ref);
-        }
-      });
+  // NIC/link leg of the delivery pipeline: host send -> remote NIC rx.
+  // Counts every arriving copy (fault duplicates and replays included) —
+  // under chaos that inflation *is* the tail signal.
+  if (hdr.kind == PacketKind::kEvent && latency_.enabled() && hdr.sent_at.ns > 0) {
+    latency_.record_nic_wire((engine_.now() - hdr.sent_at).micros());
+  }
+  nic_cpu_.submit_dynamic(*this, kNetRx, ref.bits());
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@
 
 namespace nicwarp::hw {
 
-class Nic final : public NicContext {
+// Owns its nic.cpu jobs (host tx hook, the three wire-tx stages, net rx
+// hook) and the rx DMA over the node's bus, and is the client of its own
+// injection link.
+class Nic final : public NicContext, private sim::Owner, private LinkClient {
  public:
   // `bus` is the node's I/O bus (shared with host-side tx DMA). `trace`,
   // `latency`, and `entity` may be null (tests); records then go to
@@ -41,6 +44,10 @@ class Nic final : public NicContext {
       std::unique_ptr<Firmware> firmware, TraceRecorder* trace = nullptr,
       LatencyRecorder* latency = nullptr, EntityStats* entity = nullptr);
 
+  // Server jobs and the link client registration hold `this`.
+  Nic(const Nic&) = delete;
+  Nic& operator=(const Nic&) = delete;
+
   // ----- host-facing interface (called from Node / comm layer) -----
 
   // True if a send-ring slot can be reserved for one more host packet.
@@ -49,7 +56,7 @@ class Nic final : public NicContext {
   void reserve_tx_slot();
   // Hands a pooled packet to the NIC (DMA already accounted by the caller);
   // runs the on_host_tx hook and stages or discards the packet.
-  void accept_from_host(PacketRef ref);
+  void accept_from_host(PacketRef ref) { nic_cpu_.submit_dynamic(*this, kHostTx, ref.bits()); }
 
   // Called with every packet that completed rx DMA to the host. Set by Node.
   void set_host_deliver(std::function<void(PacketRef)> fn) {
@@ -83,6 +90,20 @@ class Nic final : public NicContext {
   std::size_t slots_in_use() const { return slots_in_use_; }
 
  private:
+  // Job stages. The three wire-tx stages name the queue the packet came from.
+  enum Stage : std::uint32_t {
+    kHostTx,      // on_host_tx hook, then stage in the send ring or discard
+    kWireTxHost,  // on_wire_tx hook for a send-ring packet, then transmit
+    kWireTxCtrl,  // on_wire_tx hook for NIC-generated control traffic
+    kWireTxRetx,  // stored-copy replay: no hook, fixed nic_retx_us
+    kNetRx,       // reliability filter + on_net_rx hook, then rx DMA or drop
+    kRxDma,       // bus transfer to host memory, then host_deliver_
+  };
+  SimTime start_job(std::uint32_t stage, std::uint64_t arg) override;
+  void finish_job(std::uint32_t stage, std::uint64_t arg) override;
+  void on_link_free(bool host_pkt) override;
+
+  void finish_host_tx(PacketRef ref);
   void pump_tx();
   void deliver_ref_to_host(PacketRef ref);
 
@@ -150,9 +171,9 @@ class Nic final : public NicContext {
   FlatRing<PacketRef> retx_queue_;    // reliability replays (top wire priority)
   std::size_t slots_in_use_{0};       // reserved + staged + on-wire host packets
   bool tx_busy_{false};
-  // Hook verdict carried from a nic_cpu_ job's work fn to its completion fn.
+  // Hook verdict carried from a nic_cpu_ job's start_job to its finish_job.
   // Safe as a single member: the FIFO server strictly pairs them (the next
-  // job's work only starts inside the previous completion).
+  // job only starts after the previous one finished).
   Firmware::Action pending_action_{Firmware::Action::kForward};
 
   std::vector<RelTx> rel_tx_;  // indexed by destination node

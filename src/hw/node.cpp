@@ -23,18 +23,33 @@ Node::Node(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, Nod
   nic_->set_host_deliver([this](PacketRef ref) {
     // The packet landed in host memory; charge the host receive path
     // (interrupt + protocol stack) before the comm layer sees it.
-    host_cpu_.submit(host_recv_cost(pool_.get(ref)), [this, ref] {
-      NW_CHECK_MSG(raw_rx_ != nullptr, "no raw rx handler installed");
-      raw_rx_(ref);
-    });
+    host_cpu_.submit(host_recv_cost(pool_.get(ref)), *this, kHostRecv, ref.bits());
   });
 }
 
 void Node::dma_to_nic(PacketRef ref) {
   nic_->reserve_tx_slot();
   tx_packets_.add(1);
-  bus_.submit(cost_.bus_transfer(pool_.get(ref).hdr.size_bytes),
-              [this, ref] { nic_->accept_from_host(ref); });
+  bus_.submit(cost_.bus_transfer(pool_.get(ref).hdr.size_bytes), *this, kTxDma,
+              ref.bits());
+}
+
+SimTime Node::start_job(std::uint32_t, std::uint64_t) {
+  NW_UNREACHABLE("node jobs have a fixed cost");
+}
+
+void Node::finish_job(std::uint32_t stage, std::uint64_t arg) {
+  const PacketRef ref = PacketRef::from_bits(arg);
+  switch (static_cast<Stage>(stage)) {
+    case kTxDma:
+      nic_->accept_from_host(ref);
+      return;
+    case kHostRecv:
+      NW_CHECK_MSG(raw_rx_ != nullptr, "no raw rx handler installed");
+      raw_rx_(ref);
+      return;
+  }
+  NW_UNREACHABLE("unknown node job stage");
 }
 
 void Node::set_tx_ready_cb(std::function<void()> fn) {

@@ -18,7 +18,9 @@
 
 namespace nicwarp::hw {
 
-class Node {
+// Owns the bus tx DMA job (finishing into Nic::accept_from_host) and the
+// host receive job (finishing into the raw-rx handler).
+class Node final : private sim::Owner {
  public:
   // `trace`/`latency`/`entity`/`phases` may be null (tests); records then go
   // to a never-enabled sink.
@@ -27,6 +29,10 @@ class Node {
        std::unique_ptr<Firmware> firmware, TraceRecorder* trace = nullptr,
        LatencyRecorder* latency = nullptr, EntityStats* entity = nullptr,
        PhaseProfiler* phases = nullptr);
+
+  // Server jobs and the NIC's host-deliver hook hold `this`.
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
 
   NodeId id() const { return id_; }
   std::uint32_t world_size() const { return world_size_; }
@@ -62,7 +68,7 @@ class Node {
   // Invoked whenever the NIC frees a tx slot (backpressure release).
   void set_tx_ready_cb(std::function<void()> fn);
 
-  // Convenience: submit host work.
+  // Convenience: submit host work. A null `fn` only charges time.
   void run_host_task(SimTime cost, sim::Server::CompletionFn fn) {
     host_cpu_.submit(cost, std::move(fn));
   }
@@ -71,6 +77,10 @@ class Node {
   SimTime host_recv_cost(const Packet& pkt) const;
 
  private:
+  enum Stage : std::uint32_t { kTxDma, kHostRecv };
+  SimTime start_job(std::uint32_t stage, std::uint64_t arg) override;
+  void finish_job(std::uint32_t stage, std::uint64_t arg) override;
+
   sim::Engine& engine_;
   StatsRegistry& stats_;
   const CostModel& cost_;

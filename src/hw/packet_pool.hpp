@@ -33,6 +33,12 @@ struct PacketRef {
 
   bool is_null() const { return idx == kNullIdx; }
   explicit operator bool() const { return idx != kNullIdx; }
+
+  // The 64-bit argument of an engine task or server job: (gen << 32) | idx.
+  std::uint64_t bits() const { return (std::uint64_t{gen} << 32) | idx; }
+  static PacketRef from_bits(std::uint64_t b) {
+    return PacketRef{static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(b >> 32)};
+  }
   friend bool operator==(PacketRef a, PacketRef b) {
     return a.idx == b.idx && a.gen == b.gen;
   }

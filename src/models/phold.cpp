@@ -33,7 +33,8 @@ class PholdObject final : public SimulationObject {
   void execute(ObjectContext& ctx, const EventMsg& ev) override {
     auto& st = state_as<PholdState>();
     st.mut(st.handled) += 1;
-    ctx.fold_signature(static_cast<std::int64_t>(ev.id) + ctx.now().t);
+    ctx.fold_signature(
+        static_cast<std::int64_t>(ev.id + static_cast<std::uint64_t>(ctx.now().t)));
     const VirtualTime next = ctx.now() + delay(ctx);
     if (next.t >= p_.horizon) return;
     const auto dst = static_cast<ObjectId>(ctx.rng().uniform(0, p_.objects - 1));

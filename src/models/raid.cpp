@@ -98,7 +98,8 @@ class Fork final : public SimulationObject {
     const ObjectId disk = first_disk_ + static_cast<ObjectId>(block % p_.disks);
     ctx.send(disk, ctx.now() + ctx.rng().uniform(p_.fork_delay_min, p_.fork_delay_max),
              {kForwarded, ev.data.at(1), ev.data.at(2), block});
-    ctx.fold_signature(static_cast<std::int64_t>(ev.id) * 31 + block);
+    ctx.fold_signature(
+        static_cast<std::int64_t>(ev.id * 31 + static_cast<std::uint64_t>(block)));
   }
 
  private:

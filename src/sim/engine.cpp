@@ -4,99 +4,74 @@
 
 namespace nicwarp::sim {
 
-TaskHandle Engine::schedule(SimTime delay, Callback fn) {
+void Engine::schedule(SimTime delay, Target& target, std::uint64_t arg) {
   NW_CHECK_MSG(delay.ns >= 0, "negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
+  push(now_ + delay, &target, arg);
 }
 
-std::uint32_t Engine::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t idx = free_slots_.back();
-    free_slots_.pop_back();
-    return idx;
-  }
-  NW_CHECK_MSG(slots_.size() < static_cast<std::size_t>(UINT32_MAX), "slot pool overflow");
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+void Engine::schedule_at(SimTime when, Target& target, std::uint64_t arg) {
+  push(when, &target, arg);
 }
 
-void Engine::release_slot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.seq = 0;  // invalidates every outstanding handle to this slot
-  s.fn.reset();
-  free_slots_.push_back(idx);
+void Engine::schedule(SimTime delay, Callback fn) {
+  NW_CHECK_MSG(delay.ns >= 0, "negative delay");
+  schedule_at(now_ + delay, std::move(fn));
 }
 
-TaskHandle Engine::schedule_at(SimTime when, Callback fn) {
-  NW_CHECK_MSG(when >= now_, "scheduling into the past");
+void Engine::schedule_at(SimTime when, Callback fn) {
   NW_CHECK(static_cast<bool>(fn));
-  const std::uint64_t id = next_seq_++;
-  // Handle validity relies on sequence numbers being unique forever; at one
-  // task per simulated nanosecond this would take ~585 years to trip, but a
-  // wrap must never silently resurrect a stale handle.
-  NW_CHECK_MSG(next_seq_ != 0, "sequence counter wrapped — handles would be reused");
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.seq = id;
-  s.fn = std::move(fn);
-  s.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapNode{when, id, slot});
-  sift_up(heap_.size() - 1);
-  return TaskHandle{id, slot};
+  std::uint32_t idx = 0;
+  if (!free_callbacks_.empty()) {
+    idx = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[idx] = std::move(fn);
+  } else {
+    NW_CHECK_MSG(callbacks_.size() < static_cast<std::size_t>(UINT32_MAX),
+                 "callback slab overflow");
+    idx = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  }
+  push(when, nullptr, idx);
 }
 
-void Engine::sift_up(std::size_t i) {
-  HeapNode node = heap_[i];
+// The sifts keep the moving task in locals and store it once, at its final
+// slot: writing it first and reading it back as a 32-byte copy stalls on
+// store forwarding, and these are the engine's hottest lines.
+void Engine::push(SimTime when, Target* target, std::uint64_t arg) {
+  NW_CHECK_MSG(when >= now_, "scheduling into the past");
+  const std::uint64_t seq = next_seq_++;
+  // Equal-time order rests on sequence numbers never repeating; at one task
+  // per simulated nanosecond a wrap would take ~585 years, but it must never
+  // happen silently.
+  NW_CHECK_MSG(next_seq_ != 0, "sequence counter wrapped — equal-time order would break");
+  std::size_t i = heap_.size();
+  heap_.emplace_back();
+  // The new task has the largest seq, so it precedes exactly the tasks with
+  // a later `when`.
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!node_before(node, heap_[parent])) break;
+    if (!(when < heap_[parent].when)) break;
     heap_[i] = heap_[parent];
-    slots_[heap_[i].slot].heap_pos = static_cast<std::uint32_t>(i);
     i = parent;
   }
-  heap_[i] = node;
-  slots_[node.slot].heap_pos = static_cast<std::uint32_t>(i);
+  heap_[i] = Task{when, seq, target, arg};
 }
 
-void Engine::sift_down(std::size_t i) {
-  HeapNode node = heap_[i];
+void Engine::pop() {
+  const Task last = heap_.back();
+  heap_.pop_back();
   const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && node_before(heap_[child + 1], heap_[child])) ++child;
-    if (!node_before(heap_[child], node)) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], last)) break;
     heap_[i] = heap_[child];
-    slots_[heap_[i].slot].heap_pos = static_cast<std::uint32_t>(i);
     i = child;
   }
-  heap_[i] = node;
-  slots_[node.slot].heap_pos = static_cast<std::uint32_t>(i);
-}
-
-void Engine::heap_erase(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  if (pos == last) {
-    heap_.pop_back();
-    return;
-  }
-  heap_[pos] = heap_[last];
-  slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
-  heap_.pop_back();
-  if (pos > 0 && node_before(heap_[pos], heap_[(pos - 1) / 2])) {
-    sift_up(pos);
-  } else {
-    sift_down(pos);
-  }
-}
-
-bool Engine::cancel(TaskHandle h) {
-  if (h.id == 0 || h.slot >= slots_.size()) return false;
-  Slot& s = slots_[h.slot];
-  if (s.seq != h.id) return false;  // already ran, cancelled, or slot recycled
-  heap_erase(s.heap_pos);
-  release_slot(h.slot);
-  return true;
+  heap_[i] = last;
 }
 
 std::uint64_t Engine::run() { return run_until(SimTime::max()); }
@@ -105,20 +80,27 @@ std::uint64_t Engine::run_until(SimTime deadline) {
   std::uint64_t ran = 0;
   while (!heap_.empty()) {
     if (stop_requested_) break;
-    const HeapNode top = heap_[0];
-    if (top.when > deadline) break;
-    Callback fn = std::move(slots_[top.slot].fn);
-    heap_erase(0);
-    // Free the slot before invoking: a handle to the running task must
-    // already fail to cancel, exactly as if the task had completed.
-    release_slot(top.slot);
-    now_ = top.when;
-    fn();
+    const SimTime when = heap_[0].when;
+    if (when > deadline) break;
+    Target* const target = heap_[0].target;
+    const std::uint64_t arg = heap_[0].arg;
+    pop();
+    now_ = when;
+    if (target != nullptr) {
+      target->fire(arg);
+    } else {
+      // Move the closure out first: it may schedule more closures, which can
+      // grow the slab and reuse this entry.
+      const auto idx = static_cast<std::uint32_t>(arg);
+      Callback fn = std::move(callbacks_[idx]);
+      free_callbacks_.push_back(idx);
+      fn();
+    }
     ++ran;
     ++executed_;
   }
-  // Any latched stop() — from inside a callback or between runs — has now
-  // been observed by this run; consume it so the next run proceeds.
+  // Any latched stop() — from inside a task or between runs — has now been
+  // observed by this run; consume it so the next run proceeds.
   stop_requested_ = false;
   return ran;
 }

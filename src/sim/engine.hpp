@@ -9,12 +9,14 @@
 // Single-threaded and deterministic: events at equal times fire in schedule
 // order (a monotonically increasing sequence number breaks ties).
 //
-// Hot-path design (see docs/PERF.md): tasks live in a pooled slot array and
-// an explicit slot-indexed binary heap. schedule() never heap-allocates on
-// the common path (callbacks are SmallFn with inline storage; slots and heap
-// nodes are recycled vector entries), cancel() removes the heap entry
-// immediately via the slot's stored heap position (no lazy tombstones), and
-// pop-min touches no hash table.
+// Hot-path design (see docs/PERF.md): a task is a 32-byte descriptor
+// {when, seq, Target*, arg} kept directly in a binary heap and sifted in
+// place. Server completions, link deliveries and every other per-packet task
+// name the component that runs them (a Target) plus one 64-bit argument, so
+// scheduling them moves no closure. Closures remain for timers, cross-shard
+// deliveries and tests: they live in a side slab with a free list, and the
+// task's `arg` indexes it. There is no cancellation; a component that may
+// no longer want a task checks its own state when the task fires.
 #pragma once
 
 #include <cstdint>
@@ -25,42 +27,41 @@
 
 namespace nicwarp::sim {
 
-// Opaque handle for cancelling a scheduled callback. `id` is the task's
-// unique sequence number (never reused — the engine asserts the 64-bit
-// counter cannot wrap); `slot` locates the task's pooled storage. A handle
-// whose task already ran or was cancelled simply fails to validate against
-// the slot's current sequence number, even after the slot is recycled.
-struct TaskHandle {
-  std::uint64_t id{0};
-  std::uint32_t slot{0};
-  bool valid() const { return id != 0; }
+// A component the engine runs descriptor tasks on. It is held by address
+// while a task is queued, so it must outlive its tasks and must not move.
+class Target {
+ public:
+  virtual void fire(std::uint64_t arg) = 0;
+
+ protected:
+  ~Target() = default;
 };
 
 class Engine {
  public:
-  // 96 inline bytes cover every scheduling site on the hot path (the largest
-  // is Nic::schedule's timer closure: this + an 80-byte SmallFn).
+  // 96 inline bytes cover every closure scheduling site (the largest is
+  // Nic::schedule's timer closure: this + an 80-byte SmallFn).
   using Callback = SmallFn<void(), 96>;
 
   SimTime now() const { return now_; }
 
-  // Schedules `fn` to run `delay` from now (delay >= 0).
-  TaskHandle schedule(SimTime delay, Callback fn);
+  // Runs `target.fire(arg)` `delay` from now (delay >= 0).
+  void schedule(SimTime delay, Target& target, std::uint64_t arg);
+  // Same, at an absolute time (>= now()).
+  void schedule_at(SimTime when, Target& target, std::uint64_t arg);
 
-  // Schedules at an absolute time (>= now()).
-  TaskHandle schedule_at(SimTime when, Callback fn);
+  // Closure forms, for timers and tests.
+  void schedule(SimTime delay, Callback fn);
+  void schedule_at(SimTime when, Callback fn);
 
-  // Cancels a pending task; returns false if it already ran or was cancelled.
-  bool cancel(TaskHandle h);
-
-  // Runs until no events remain. Returns the number of callbacks executed.
+  // Runs until no events remain. Returns the number of tasks executed.
   std::uint64_t run();
 
   // Runs until the clock would pass `deadline` (events at exactly `deadline`
-  // still run) or the queue drains. Returns callbacks executed.
+  // still run) or the queue drains. Returns tasks executed.
   std::uint64_t run_until(SimTime deadline);
 
-  // Requests that run()/run_until() return after the current callback. The
+  // Requests that run()/run_until() return after the current task. The
   // request is latched: a stop() issued while no run is active halts the
   // next run_until() before it executes anything, and is only cleared once
   // a run has observed it.
@@ -79,37 +80,31 @@ class Engine {
   }
 
  private:
-  struct HeapNode {
+  // target == nullptr marks a closure task; arg is then its slab index.
+  struct Task {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t slot;
+    Target* target;
+    std::uint64_t arg;
   };
-  struct Slot {
-    Callback fn;
-    std::uint64_t seq{0};  // 0 == free; equals the TaskHandle id while live
-    std::uint32_t heap_pos{0};
-  };
+  static_assert(sizeof(Task) == 32);
 
-  static bool node_before(const HeapNode& a, const HeapNode& b) {
+  static bool before(const Task& a, const Task& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  // Removes the heap node at `pos` (swap-with-last + sift), keeping every
-  // slot's heap_pos in sync.
-  void heap_erase(std::size_t pos);
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t idx);
+  void push(SimTime when, Target* target, std::uint64_t arg);
+  // Removes the root.
+  void pop();
 
   SimTime now_{SimTime::zero()};
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
   bool stop_requested_{false};
-  std::vector<HeapNode> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Task> heap_;
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint32_t> free_callbacks_;
 };
 
 }  // namespace nicwarp::sim

@@ -1,7 +1,6 @@
 #include "warped/kernel.hpp"
 
 #include "core/assert.hpp"
-#include "core/log.hpp"
 
 namespace nicwarp::warped {
 
@@ -78,17 +77,52 @@ void Kernel::start() {
   mb.timewarp_initialised = true;
 
   // Object initialization is real host work.
-  node_.host_cpu().submit_dynamic(
-      [this] {
-        double cost_us = node_.cost().host_event_exec_us;  // setup overhead
-        std::vector<EventMsg> initial = lp_.initialize_objects();
-        for (auto& ev : initial) dispatch_event(std::move(ev), cost_us);
-        mgr_->start();
-        return node_.cost().us(cost_us);
-      },
-      [this] { pump(); });
+  node_.host_cpu().submit_dynamic(*this, kInit, 0);
 
   idle_tick();
+}
+
+SimTime Kernel::start_job(std::uint32_t stage, std::uint64_t) {
+  switch (static_cast<Stage>(stage)) {
+    case kInit: {
+      double cost_us = node_.cost().host_event_exec_us;  // setup overhead
+      std::vector<EventMsg> initial = lp_.initialize_objects();
+      for (auto& ev : initial) dispatch_event(std::move(ev), cost_us);
+      mgr_->start();
+      return node_.cost().us(cost_us);
+    }
+    case kStep:
+      return do_step();
+    case kControl:
+      break;
+  }
+  NW_UNREACHABLE("kernel job stage without a start hook");
+}
+
+void Kernel::finish_job(std::uint32_t stage, std::uint64_t arg) {
+  switch (static_cast<Stage>(stage)) {
+    case kInit:
+      pump();
+      return;
+    case kStep:
+      step_active_ = false;
+      pump();
+      return;
+    case kControl: {
+      const hw::PacketRef ref = hw::PacketRef::from_bits(arg);
+      hw::PacketPool& pool = node_.pool();
+      if (pool.get(ref).hdr.dst == rank()) {
+        // Degenerate self-send (e.g. a 1-node ring): handled locally, after
+        // paying the same control-handling cost.
+        mgr_->on_control(pool.get(ref));
+        pool.release(ref);
+      } else {
+        comm_.send(ref);
+      }
+      return;
+    }
+  }
+  NW_UNREACHABLE("unknown kernel job stage");
 }
 
 VirtualTime Kernel::safe_local_min() const {
@@ -96,15 +130,11 @@ VirtualTime Kernel::safe_local_min() const {
 }
 
 void Kernel::send_control(hw::Packet pkt) {
-  if (pkt.hdr.dst == rank()) {
-    // Degenerate self-send (e.g. a 1-node ring): short-circuit locally but
-    // still pay the control-handling cost.
-    node_.run_host_task(cost().us(cost().host_gvt_ctrl_us),
-                        [this, p = std::move(pkt)] { mgr_->on_control(p); });
-    return;
-  }
-  node_.run_host_task(cost().us(cost().host_gvt_ctrl_us),
-                      [this, p = std::move(pkt)]() mutable { comm_.send(std::move(p)); });
+  // The packet waits in the node's pool, not in the job, while the task
+  // queues behind other host work.
+  const hw::PacketRef ref = node_.pool().acquire(std::move(pkt));
+  node_.host_cpu().submit(cost().us(cost().host_gvt_ctrl_us), *this, kControl,
+                          ref.bits());
 }
 
 void Kernel::on_new_gvt(VirtualTime g) {
@@ -119,7 +149,7 @@ void Kernel::on_new_gvt(VirtualTime g) {
   if (reclaimed > 0) {
     node_.run_host_task(
         cost().us(cost().host_fossil_per_event_us * static_cast<double>(reclaimed)),
-        [] {});
+        nullptr);
   }
   if (g.is_inf() && !stopped_) {
     stopped_ = true;
@@ -153,11 +183,7 @@ void Kernel::pump() {
   if (step_active_ || stopped_ || !started_) return;
   if (!lp_.has_ready_event()) return;  // idle_tick keeps the manager alive
   step_active_ = true;
-  node_.host_cpu().submit_dynamic([this] { return do_step(); },
-                                  [this] {
-                                    step_active_ = false;
-                                    pump();
-                                  });
+  node_.host_cpu().submit_dynamic(*this, kStep, 0);
 }
 
 SimTime Kernel::do_step() {
@@ -204,11 +230,6 @@ SimTime Kernel::do_step() {
 
 void Kernel::dispatch_event(EventMsg ev, double& cost_us) {
   const NodeId dst_node = part_->of(ev.dst_obj);
-  if (ev.id == traced_event()) {
-    std::fprintf(stderr, "[trace %llu] dispatch node=%u neg=%d send_ts=%lld t=%lld\n",
-                 (unsigned long long)ev.id, rank(), ev.negative ? 1 : 0,
-                 (long long)ev.send_ts.t, (long long)now().ns);
-  }
 
   // NOTE: the paper also lets the host suppress anti-messages by consulting
   // the shared dropped-id buffer at generation time (§3.2). That check is
@@ -299,7 +320,7 @@ void Kernel::on_deliver(hw::Packet pkt) {
       drain_drop_notices(cost_us);
       apply_insert_result(lp_.insert(packet_to_event(pkt), /*from_network=*/true),
                           cost_us, pkt.hdr.event_id, pkt.hdr.negative, pkt.hdr.src);
-      if (cost_us > 0.0) node_.run_host_task(cost().us(cost_us), [] {});
+      if (cost_us > 0.0) node_.run_host_task(cost().us(cost_us), nullptr);
       pump();
       return;
     }

@@ -6,7 +6,9 @@
 // at a time; each step executes the least pending event, dispatches its
 // sends (local inserts or remote packets), and returns its modelled cost.
 // Message arrivals are integrated inside the host receive task and any
-// rollback work is charged as a follow-up host task.
+// rollback work is charged as a follow-up host task. Object initialization,
+// each step and each outgoing control message are descriptor jobs the kernel
+// owns on the host CPU.
 #pragma once
 
 #include <functional>
@@ -48,10 +50,14 @@ struct KernelOptions {
   ProfileHook* profile = nullptr;
 };
 
-class Kernel final : public KernelApi {
+class Kernel final : public KernelApi, private sim::Owner {
  public:
   Kernel(hw::Node& node, comm::HostComm& comm, std::shared_ptr<const Partition> part,
          std::unique_ptr<GvtManager> mgr, KernelOptions opts, std::uint64_t seed);
+
+  // Host-CPU jobs and the comm deliver hook hold `this`.
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
 
   void add_object(std::unique_ptr<SimulationObject> obj) { lp_.add_object(std::move(obj)); }
 
@@ -88,6 +94,14 @@ class Kernel final : public KernelApi {
   SimTime now() const override { return node_.engine().now(); }
 
  private:
+  enum Stage : std::uint32_t {
+    kInit,     // object initialization; then pump()
+    kStep,     // one do_step(); then pump()
+    kControl,  // host_gvt_ctrl_us for a pooled control packet; then send it
+  };
+  SimTime start_job(std::uint32_t stage, std::uint64_t arg) override;
+  void finish_job(std::uint32_t stage, std::uint64_t arg) override;
+
   void pump();
   SimTime do_step();  // returns the step's host-CPU cost
   // Routes one event; accumulates host cost (µs) into `cost_us`.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/assert.hpp"
-#include "core/log.hpp"
 
 namespace nicwarp::warped {
 
@@ -48,8 +47,12 @@ class ExecCtx final : public ObjectContext {
   void fold_signature(std::int64_t v) override {
     // Order-insensitive fold so the commit schedule cannot affect it. Goes
     // through the write barrier: the signature is rollback-able state.
+    // Folded in uint64 so wraparound is defined.
     State& st = obj_.state();
-    st.mut(st.signature) += v * 0x9E3779B97F4A7C15LL + 0x165667B19E3779F9LL;
+    std::int64_t& sig = st.mut(st.signature);
+    sig = static_cast<std::int64_t>(static_cast<std::uint64_t>(sig) +
+                                    static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ULL +
+                                    0x165667B19E3779F9ULL);
   }
 
   std::vector<EventMsg> take_sends() { return std::move(sends_); }
@@ -128,14 +131,6 @@ std::vector<EventMsg> LogicalProcess::initialize_objects() {
 
 LogicalProcess::InsertResult LogicalProcess::insert(EventMsg ev, bool from_network) {
   InsertResult res;
-  if (ev.id == traced_event()) {
-    std::fprintf(stderr, "[trace %llu] insert rank=%u neg=%d net=%d\n",
-                 (unsigned long long)ev.id, rank_, ev.negative ? 1 : 0, from_network ? 1 : 0);
-  }
-  if (ev.negative && ev.id == traced_event()) {
-    std::fprintf(stderr, "[trace %llu]   (anti outcome logged below)\n",
-                 (unsigned long long)ev.id);
-  }
   ObjRt& rt = runtime_for(ev.dst_obj);
   NW_CHECK_MSG(!(ev.recv_ts < max_gvt_seen_),
                "message below GVT arrived — GVT estimation is unsound");
@@ -638,9 +633,9 @@ VirtualTime LogicalProcess::last_anti_ts(ObjectId obj) const {
 }
 
 std::int64_t LogicalProcess::signature_sum() const {
-  std::int64_t s = 0;
-  for (const auto& [id, rt] : objs_) s += rt.obj->state().signature;
-  return s;
+  std::uint64_t s = 0;  // wraps by design
+  for (const auto& [id, rt] : objs_) s += static_cast<std::uint64_t>(rt.obj->state().signature);
+  return static_cast<std::int64_t>(s);
 }
 
 std::size_t LogicalProcess::total_pending() const { return pending_total_; }

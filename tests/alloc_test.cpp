@@ -1,4 +1,5 @@
-// Allocation gates for stats recording on the simulator's hot paths.
+// Allocation gates for the simulator's hot paths: stats recording, server
+// jobs and engine tasks.
 //
 // This binary replaces the global operator new with a counting one, so it is
 // kept apart from the other test binaries. Each case warms its structures up
@@ -91,6 +92,59 @@ TEST(AllocTest, ServerJobsAllocateNoMoreWithARegistry) {
 
   EXPECT_EQ(with, without);
   EXPECT_EQ(stats.value("host12.cpu.jobs"), 2008 * 5);
+  EXPECT_EQ(stats.value("host12.cpu.busy_ns"), 2008 * (3 + 4 + 5 + 6 + 2));
+}
+
+// Counts descriptor jobs (stage 1 gives its cost at service start) and
+// Target tasks.
+class Tally final : public sim::Owner, public sim::Target {
+ public:
+  SimTime start_job(std::uint32_t, std::uint64_t arg) override {
+    return SimTime::from_ns(static_cast<std::int64_t>(arg));
+  }
+  void finish_job(std::uint32_t stage, std::uint64_t arg) override {
+    jobs += 1;
+    sum += static_cast<std::int64_t>(stage + arg);
+  }
+  void fire(std::uint64_t arg) override {
+    tasks += 1;
+    sum += static_cast<std::int64_t>(arg);
+  }
+  std::int64_t jobs{0};
+  std::int64_t tasks{0};
+  std::int64_t sum{0};
+};
+
+// Runs `rounds` rounds of five descriptor jobs (four fixed-cost, one
+// dynamic) and five Target tasks. Returns the allocations the rounds made.
+std::size_t run_descriptors(sim::Engine& engine, sim::Server& cpu, Tally& owner,
+                            int rounds) {
+  const std::size_t before = allocations();
+  for (int r = 0; r < rounds; ++r) {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      cpu.submit(SimTime::from_ns(static_cast<std::int64_t>(3 + i)), owner, 0, i);
+    }
+    cpu.submit_dynamic(owner, 1, 2);
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      engine.schedule(SimTime::from_ns(static_cast<std::int64_t>(i)), owner, i);
+    }
+    engine.run();
+  }
+  return allocations() - before;
+}
+
+TEST(AllocTest, DescriptorJobsAndTargetTasksAllocateNothing) {
+  sim::Engine engine;
+  StatsRegistry stats;
+  sim::Server cpu(engine, "host12.cpu", &stats);
+  Tally owner;
+  run_descriptors(engine, cpu, owner, 8);  // heap, ring and counters warm up
+
+  const std::size_t allocated = run_descriptors(engine, cpu, owner, 2000);
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(owner.jobs, 2008 * 5);   // 10,000 jobs after warm-up
+  EXPECT_EQ(owner.tasks, 2008 * 5);  // and 10,000 Target tasks
   EXPECT_EQ(stats.value("host12.cpu.busy_ns"), 2008 * (3 + 4 + 5 + 6 + 2));
 }
 

@@ -1,6 +1,6 @@
-// Regression tests for the slot-indexed engine scheduler (O(1) cancel via
-// slot handles, no lazy tombstones) and the sweep runner's exception path:
-// the behaviours this PR's refactor is most likely to have disturbed.
+// Regression tests for the descriptor-task engine scheduler (a binary heap
+// of {when, seq, Target*, arg}, closures in a side slab) and the sweep
+// runner's exception path.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -12,36 +12,31 @@
 namespace nicwarp::sim {
 namespace {
 
-// --- cancellation during callbacks -----------------------------------------
+// Records each fire(arg). After respawn_on(arg, tag), firing `arg` also
+// schedules a zero-delay Target task `tag` and a zero-delay closure
+// recording `tag + 1`.
+class Recorder final : public Target {
+ public:
+  Recorder(Engine& e, std::vector<int>& order) : e_(e), order_(order) {}
+  void fire(std::uint64_t arg) override {
+    order_.push_back(static_cast<int>(arg));
+    if (respawn_tag_ != 0 && arg == respawn_on_) {
+      const int tag = respawn_tag_;
+      e_.schedule(SimTime::zero(), *this, static_cast<std::uint64_t>(tag));
+      e_.schedule(SimTime::zero(), [this, tag] { order_.push_back(tag + 1); });
+    }
+  }
+  void respawn_on(std::uint64_t arg, int tag) {
+    respawn_on_ = arg;
+    respawn_tag_ = tag;
+  }
 
-TEST(EngineSlotHeap, CallbackCancelsSiblingAtSameTime) {
-  Engine e;
-  bool sibling_ran = false;
-  bool later_ran = false;
-  TaskHandle sibling;
-  TaskHandle later;
-  e.schedule(SimTime::from_ns(10), [&] {
-    EXPECT_TRUE(e.cancel(sibling)) << "same-time sibling is still pending";
-    EXPECT_TRUE(e.cancel(later));
-  });
-  sibling = e.schedule(SimTime::from_ns(10), [&] { sibling_ran = true; });
-  later = e.schedule(SimTime::from_ns(20), [&] { later_ran = true; });
-  EXPECT_EQ(e.run(), 1u);
-  EXPECT_FALSE(sibling_ran);
-  EXPECT_FALSE(later_ran);
-  EXPECT_EQ(e.pending(), 0u);
-}
-
-TEST(EngineSlotHeap, CancellingTheRunningTaskFails) {
-  // The running task's slot is released before its callback is invoked, so a
-  // handle to "self" behaves exactly like a handle to a completed task.
-  Engine e;
-  TaskHandle self;
-  bool self_cancel = true;
-  self = e.schedule(SimTime::from_ns(5), [&] { self_cancel = e.cancel(self); });
-  e.run();
-  EXPECT_FALSE(self_cancel);
-}
+ private:
+  Engine& e_;
+  std::vector<int>& order_;
+  std::uint64_t respawn_on_{0};
+  int respawn_tag_{0};
+};
 
 // --- schedule-at-now ordering ----------------------------------------------
 
@@ -62,36 +57,57 @@ TEST(EngineSlotHeap, ZeroDelayFromCallbackRunsSameTimeInScheduleOrder) {
   EXPECT_EQ(e.now().ns, 5);
 }
 
-// --- handle invalidation across slot reuse ---------------------------------
+// --- descriptor tasks ------------------------------------------------------
 
-TEST(EngineSlotHeap, StaleHandleCannotCancelSlotSuccessor) {
+TEST(EngineSlotHeap, TargetsAndClosuresAtEqualTimesRunInScheduleOrder) {
   Engine e;
-  bool survivor_ran = false;
-  TaskHandle old_h = e.schedule(SimTime::from_ns(10), [] {});
-  EXPECT_TRUE(e.cancel(old_h));
-  // The freed slot is recycled for the next task (LIFO free list)...
-  TaskHandle new_h = e.schedule(SimTime::from_ns(10), [&] { survivor_ran = true; });
-  EXPECT_EQ(new_h.slot, old_h.slot);
-  EXPECT_NE(new_h.id, old_h.id);
-  // ...yet the stale handle must not reach through to the new occupant.
-  EXPECT_FALSE(e.cancel(old_h));
-  e.run();
-  EXPECT_TRUE(survivor_ran);
-  EXPECT_FALSE(e.cancel(new_h)) << "already ran";
+  std::vector<int> order;
+  Recorder rec(e, order);
+  e.schedule(SimTime::from_ns(9), rec, 90);  // later time, scheduled first
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 == 0) {
+      e.schedule(SimTime::from_ns(5), [&order, i] { order.push_back(i); });
+    } else {
+      e.schedule_at(SimTime::from_ns(5), rec, static_cast<std::uint64_t>(i));
+    }
+  }
+  // Task 4 (a Target) spawns two zero-delay tasks at t=5; they carry later
+  // sequence numbers than every task above, so they run after task 11.
+  rec.respawn_on(4, 50);
+  EXPECT_EQ(e.run(), 15u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 50, 51, 90}));
+  EXPECT_EQ(e.now().ns, 9);
 }
 
 TEST(EngineSlotHeap, HeavyCancelChurnKeepsHeapConsistent) {
+  // The engine has no cancel(): a caller that no longer wants a task marks
+  // it void and lets it fire as a no-op. A third of 1000 tasks are voided;
+  // half of the rest reschedule a follow-on, as a Target task or a closure,
+  // so the heap and the closure slab churn while they drain.
   Engine e;
-  std::vector<TaskHandle> hs;
+  std::vector<int> tags;
+  Recorder rec(e, tags);
   std::vector<std::int64_t> fired;
+  std::vector<bool> voided(1000, false);
+  std::uint64_t expected = 1000;
   for (int i = 0; i < 1000; ++i) {
     const std::int64_t ts = 1 + (i * 7919) % 503;
-    hs.push_back(e.schedule(SimTime::from_ns(ts), [&fired, ts] { fired.push_back(ts); }));
+    e.schedule(SimTime::from_ns(ts), [&, i, ts] {
+      if (voided[static_cast<std::size_t>(i)]) return;
+      fired.push_back(e.now().ns);
+      if (i % 4 == 0) e.schedule(SimTime::from_ns(ts % 37), rec, static_cast<std::uint64_t>(i));
+      if (i % 4 == 2) {
+        e.schedule(SimTime::from_ns(ts % 41), [&] { fired.push_back(e.now().ns); });
+      }
+    });
   }
-  std::size_t cancelled = 0;
-  for (std::size_t i = 0; i < hs.size(); i += 3) cancelled += e.cancel(hs[i]) ? 1 : 0;
-  EXPECT_EQ(cancelled, 334u);
-  EXPECT_EQ(e.run(), 1000u - 334u);
+  for (std::size_t i = 0; i < voided.size(); i += 3) voided[i] = true;
+  for (int i = 0; i < 1000; ++i) {
+    if (!voided[static_cast<std::size_t>(i)] && i % 2 == 0) ++expected;
+  }
+  EXPECT_EQ(e.run(), expected);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(fired.size() + tags.size(), expected - 334);
   for (std::size_t i = 1; i < fired.size(); ++i) {
     ASSERT_LE(fired[i - 1], fired[i]) << "pop order must stay non-decreasing";
   }

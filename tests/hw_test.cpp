@@ -64,12 +64,29 @@ TEST(CostModelTest, DefaultsAreLANai4Calibrated) {
 // Network
 // ---------------------------------------------------------------------------
 
+// Stands in for the NIC as the client of one injection link.
+class LinkFreeLog final : public LinkClient {
+ public:
+  explicit LinkFreeLog(const sim::Engine& e) : e_(e) {}
+  void on_link_free(bool host_pkt) override {
+    at.push_back(e_.now().ns);
+    host.push_back(host_pkt);
+  }
+  std::vector<std::int64_t> at;
+  std::vector<bool> host;
+
+ private:
+  const sim::Engine& e_;
+};
+
 class NetworkFixture : public ::testing::Test {
  protected:
-  NetworkFixture() : cost_(test_cost()), net_(engine_, stats_, cost_, pool_, 3) {}
+  NetworkFixture() : cost_(test_cost()), net_(engine_, stats_, cost_, pool_, 3) {
+    net_.set_link_client(0, link0_);
+  }
   // Sugar over the pooled interfaces: tests think in value-typed Packets.
-  void transmit(NodeId src, Packet pkt, std::function<void()> on_link_free) {
-    net_.transmit(src, pool_.acquire(std::move(pkt)), std::move(on_link_free));
+  void transmit(NodeId src, Packet pkt, bool host_pkt = true) {
+    net_.transmit(src, pool_.acquire(std::move(pkt)), host_pkt);
   }
   void set_sink(std::function<void(NodeId, Packet)> fn) {
     net_.set_sink([this, fn = std::move(fn)](NodeId dst, PacketRef ref) {
@@ -81,6 +98,7 @@ class NetworkFixture : public ::testing::Test {
   CostModel cost_;
   PacketPool pool_;
   Network net_;
+  LinkFreeLog link0_{engine_};
 };
 
 TEST_F(NetworkFixture, DeliversWithSerializationPlusLatency) {
@@ -90,7 +108,7 @@ TEST_F(NetworkFixture, DeliversWithSerializationPlusLatency) {
     EXPECT_EQ(p.hdr.size_bytes, 100u);
     delivered_at = engine_.now().ns;
   });
-  transmit(0, make_event_packet(1), nullptr);
+  transmit(0, make_event_packet(1));
   engine_.run();
   // 100 B at 100 MB/s = 1000 ns serialize + 2000 ns latency.
   EXPECT_EQ(delivered_at, 3000);
@@ -99,8 +117,8 @@ TEST_F(NetworkFixture, DeliversWithSerializationPlusLatency) {
 TEST_F(NetworkFixture, PerSourceLinkSerializes) {
   std::vector<std::int64_t> deliveries;
   set_sink([&](NodeId, Packet) { deliveries.push_back(engine_.now().ns); });
-  transmit(0, make_event_packet(1), nullptr);
-  transmit(0, make_event_packet(2), nullptr);
+  transmit(0, make_event_packet(1));
+  transmit(0, make_event_packet(2));
   engine_.run();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0], 3000);
@@ -110,8 +128,8 @@ TEST_F(NetworkFixture, PerSourceLinkSerializes) {
 TEST_F(NetworkFixture, DistinctSourcesDoNotContend) {
   std::vector<std::int64_t> deliveries;
   set_sink([&](NodeId, Packet) { deliveries.push_back(engine_.now().ns); });
-  transmit(0, make_event_packet(2), nullptr);
-  transmit(1, make_event_packet(2), nullptr);
+  transmit(0, make_event_packet(2));
+  transmit(1, make_event_packet(2));
   engine_.run();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0], 3000);
@@ -119,11 +137,14 @@ TEST_F(NetworkFixture, DistinctSourcesDoNotContend) {
 }
 
 TEST_F(NetworkFixture, LinkFreeCallbackFiresAtSerializeEnd) {
-  std::int64_t freed_at = -1;
   set_sink([](NodeId, Packet) {});
-  transmit(0, make_event_packet(1), [&] { freed_at = engine_.now().ns; });
+  transmit(0, make_event_packet(1));
+  transmit(0, make_event_packet(2), /*host_pkt=*/false);
+  transmit(1, make_event_packet(2));  // link 1 has no client
   engine_.run();
-  EXPECT_EQ(freed_at, 1000);  // before the latency portion
+  // Each before the latency portion; the second waited for the first.
+  EXPECT_EQ(link0_.at, (std::vector<std::int64_t>{1000, 2000}));
+  EXPECT_EQ(link0_.host, (std::vector<bool>{true, false}));
 }
 
 TEST_F(NetworkFixture, ChannelFifoPreserved) {
@@ -132,7 +153,7 @@ TEST_F(NetworkFixture, ChannelFifoPreserved) {
   for (int i = 0; i < 5; ++i) {
     Packet p = make_event_packet(1, 64);
     p.app = {i};
-    transmit(0, std::move(p), nullptr);
+    transmit(0, std::move(p));
   }
   engine_.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));

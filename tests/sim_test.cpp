@@ -1,6 +1,7 @@
 // Unit tests for the hardware discrete-event engine and the FIFO work server.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -41,17 +42,6 @@ TEST(EngineTest, CallbacksMayScheduleMore) {
   e.run();
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(e.now().ns, 5);
-}
-
-TEST(EngineTest, CancelPreventsExecution) {
-  Engine e;
-  bool ran = false;
-  TaskHandle h = e.schedule(SimTime::from_ns(10), [&] { ran = true; });
-  EXPECT_TRUE(e.cancel(h));
-  EXPECT_FALSE(e.cancel(h));  // second cancel is a no-op
-  e.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(e.pending(), 0u);
 }
 
 TEST(EngineTest, RunUntilStopsAtDeadline) {
@@ -189,6 +179,117 @@ TEST(ServerTest, ZeroCostJobsStillSerialize) {
   s.submit(SimTime::zero(), [&] { order.push_back(2); });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// Start hooks that submit to their own server, the shape of NIC firmware
+// emit -> pump_tx -> nic_cpu_. Each stage-0 job submits 20 stage-1 jobs from
+// inside its start hook, so the job ring regrows under the running job.
+class Spawner final : public Owner {
+ public:
+  Spawner(Engine& e, Server& s) : e_(e), s_(s) {}
+  SimTime start_job(std::uint32_t stage, std::uint64_t arg) override {
+    started.push_back(arg);
+    if (stage == 0) {
+      for (std::uint64_t i = 0; i < 20; ++i) s_.submit_dynamic(*this, 1, arg * 100 + i);
+    }
+    return SimTime::from_ns(static_cast<std::int64_t>(arg % 7 + 1));
+  }
+  void finish_job(std::uint32_t stage, std::uint64_t arg) override {
+    finished.push_back(arg);
+    stages.push_back(stage);
+    finished_at.push_back(e_.now().ns);
+  }
+  std::vector<std::uint64_t> started;
+  std::vector<std::uint64_t> finished;
+  std::vector<std::uint32_t> stages;
+  std::vector<std::int64_t> finished_at;
+
+ private:
+  Engine& e_;
+  Server& s_;
+};
+
+TEST(ServerTest, StartHookMaySubmitToItsOwnServerWhileTheRingGrows) {
+  Engine e;
+  StatsRegistry stats;
+  Server s(e, "nic", &stats);
+  Spawner owner(e, s);
+  s.submit_dynamic(owner, 0, 1);
+  // Job 1 started on submission, so its 20 children are queued before job 2.
+  s.submit_dynamic(owner, 0, 2);
+  e.run();
+
+  std::vector<std::uint64_t> expect{1};
+  for (std::uint64_t i = 0; i < 20; ++i) expect.push_back(100 + i);
+  expect.push_back(2);
+  for (std::uint64_t i = 0; i < 20; ++i) expect.push_back(200 + i);
+  EXPECT_EQ(owner.started, expect);
+  EXPECT_EQ(owner.finished, expect) << "FIFO completion, each job intact";
+  std::vector<std::uint32_t> stages(42, 1);
+  stages[0] = 0;
+  stages[21] = 0;
+  EXPECT_EQ(owner.stages, stages);
+  std::int64_t busy = 0;
+  for (const std::uint64_t a : expect) busy += static_cast<std::int64_t>(a % 7 + 1);
+  EXPECT_EQ(owner.finished_at.back(), busy);
+  EXPECT_EQ(stats.value("nic.jobs"), 42);
+  EXPECT_EQ(stats.value("nic.busy_ns"), busy);
+}
+
+// Records completions of descriptor jobs; stage 1 jobs give their cost at
+// service start.
+class Logger final : public Owner {
+ public:
+  Logger(Engine& e, std::vector<std::pair<int, std::int64_t>>& done) : e_(e), done_(done) {}
+  SimTime start_job(std::uint32_t, std::uint64_t arg) override {
+    return SimTime::from_ns(static_cast<std::int64_t>(arg));
+  }
+  void finish_job(std::uint32_t, std::uint64_t arg) override {
+    done_.emplace_back(static_cast<int>(arg), e_.now().ns);
+  }
+
+ private:
+  Engine& e_;
+  std::vector<std::pair<int, std::int64_t>>& done_;
+};
+
+TEST(ServerTest, DescriptorClosureAndTimeOnlyJobsCompleteInSubmissionOrder) {
+  // The same schedule twice: once mixing the five kinds of job, once as
+  // closures only. Completion order, completion times and the utilization
+  // counters must agree.
+  Engine e;
+  StatsRegistry stats;
+  Server mixed(e, "mixed", &stats);
+  Server plain(e, "plain", &stats);
+  std::vector<std::pair<int, std::int64_t>> done_mixed;
+  std::vector<std::pair<int, std::int64_t>> done_plain;
+  Logger owner(e, done_mixed);
+  const auto log = [&e](std::vector<std::pair<int, std::int64_t>>& d, int tag) {
+    return [&e, &d, tag] { d.emplace_back(tag, e.now().ns); };
+  };
+  for (int round = 0; round < 3; ++round) {
+    const int t = 10 * round;
+    mixed.submit(SimTime::from_ns(t + 4), owner, 0, static_cast<std::uint64_t>(t + 1));
+    plain.submit(SimTime::from_ns(t + 4), log(done_plain, t + 1));
+    mixed.submit(SimTime::from_ns(t + 5), log(done_mixed, t + 2));
+    plain.submit(SimTime::from_ns(t + 5), log(done_plain, t + 2));
+    mixed.submit(SimTime::from_ns(7), nullptr);
+    plain.submit(SimTime::from_ns(7), [] {});
+    mixed.submit_dynamic(owner, 1, static_cast<std::uint64_t>(t + 3));
+    plain.submit_dynamic([t] { return SimTime::from_ns(t + 3); }, log(done_plain, t + 3));
+    mixed.submit_dynamic([t] { return SimTime::from_ns(t + 6); }, log(done_mixed, t + 4));
+    plain.submit_dynamic([t] { return SimTime::from_ns(t + 6); }, log(done_plain, t + 4));
+  }
+  EXPECT_EQ(mixed.queue_length(), 14u);
+  e.run();
+  ASSERT_EQ(done_mixed.size(), 12u);
+  EXPECT_EQ(done_mixed, done_plain);
+  for (std::size_t i = 1; i < done_mixed.size(); ++i) {
+    EXPECT_LT(done_mixed[i - 1].first, done_mixed[i].first) << "submission order";
+  }
+  EXPECT_EQ(stats.value("mixed.jobs"), 15);
+  EXPECT_EQ(stats.value("mixed.jobs"), stats.value("plain.jobs"));
+  EXPECT_EQ(stats.value("mixed.busy_ns"), stats.value("plain.busy_ns"));
 }
 
 }  // namespace

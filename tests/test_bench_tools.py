@@ -14,7 +14,10 @@ Checks:
      and, crucially, exits non-zero once a regression is injected;
   3. the generated trace-schema manifest (tools/trace_schema.json) matches
      what the built sweep_cli emits — the C++ enums and the Python tools
-     cannot drift apart silently.
+     cannot drift apart silently;
+  4. bench_trajectory.py tabulates the checked-in snapshots, tolerates
+     added and dropped scenarios, and exits non-zero when two snapshots
+     disagree on a shared scenario's deterministic block.
 """
 
 import json
@@ -27,6 +30,7 @@ REPO = os.getcwd()
 BENCH_RUNNER = os.environ.get("NICWARP_BENCH_RUNNER", "build/bench/bench_runner")
 SWEEP_CLI = os.environ.get("NICWARP_SWEEP_CLI", "build/examples/sweep_cli")
 COMPARE = os.path.join(REPO, "tools", "bench_compare.py")
+TRAJECTORY = os.path.join(REPO, "tools", "bench_trajectory.py")
 BASELINE = os.path.join(REPO, "bench", "baselines", "BENCH_0001.json")
 MANIFEST = os.path.join(REPO, "tools", "trace_schema.json")
 
@@ -100,6 +104,42 @@ def main():
         check(json.loads(r.stdout) == on_disk,
               "tools/trace_schema.json matches the built binary "
               "(regenerate with: sweep_cli --print-trace-schema)")
+
+        # 4. perf trajectory across snapshots.
+        r = run([sys.executable, TRAJECTORY])
+        check(r.returncode == 0,
+              f"bench_trajectory over the checked-in snapshots (rc={r.returncode})\n"
+              f"{r.stdout}{r.stderr}")
+        check("BENCH_0001" in r.stdout and "smoke/raid" in r.stdout,
+              "trajectory table names snapshots and scenarios")
+        with open(BASELINE) as f:
+            base = json.load(f)
+        later = json.loads(json.dumps(base))
+        dropped = later["scenarios"].pop()["name"]
+        added = json.loads(json.dumps(later["scenarios"][0]))
+        added["name"] = "smoke/added"
+        later["scenarios"].append(added)
+        later["scenarios"][0]["noisy"]["wall_seconds"] = 123.0
+        first = os.path.join(tmp, "BENCH_0001.json")
+        second = os.path.join(tmp, "BENCH_0002.json")
+        for path, d in ((first, base), (second, later)):
+            with open(path, "w") as f:
+                json.dump(d, f)
+        r = run([sys.executable, TRAJECTORY, first, second])
+        check(r.returncode == 0,
+              f"added/dropped scenarios and wall changes pass (rc={r.returncode})\n{r.stdout}")
+        rows = {line.split()[0]: line.split()[1:] for line in r.stdout.splitlines()[1:]}
+        check(rows[dropped][1] == "-" and rows["smoke/added"][0] == "-",
+              "absent scenarios print '-'")
+        check(rows[base["scenarios"][0]["name"]][1] == "123.000",
+              "each column holds that snapshot's wall_seconds")
+        later["scenarios"][1]["deterministic"]["signature"] += 1
+        with open(second, "w") as f:
+            json.dump(later, f)
+        r = run([sys.executable, TRAJECTORY, first, second])
+        check(r.returncode == 1, "a drifted deterministic key fails the trajectory")
+        check(f"FAIL {later['scenarios'][1]['name']}" in r.stdout
+              and "signature" in r.stdout, "failure names the scenario and key")
 
     print("all bench-tool checks passed")
     return 0
