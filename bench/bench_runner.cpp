@@ -1,9 +1,9 @@
-// bench_runner — the benchmark-regression harness.
+// bench_runner — the benchmark-regression harness and the figure tables.
 //
-// Runs every registered scenario (bench/scenarios.cpp: representative points
-// off all bench_fig*/bench_abl* sweeps plus smoke and profiler scenarios)
-// sequentially, measuring host wall time around each, and writes one
-// schema-versioned JSON document:
+// By default it runs every BENCH scenario of the registry (bench/scenarios.cpp:
+// points off every figure/ablation sweep plus smoke, profiler, chaos and
+// micro scenarios) sequentially, measuring host wall time around each, and
+// writes one schema-versioned JSON document:
 //
 //   $ ./bench_runner --list                       # names only, no runs
 //   $ ./bench_runner --filter=smoke --out=b.json  # substring-selected subset
@@ -15,6 +15,13 @@
 // tools/bench_compare.py can gate tightly on the former and loosely on the
 // latter. Scenarios run sequentially precisely so per-scenario wall time is
 // not polluted by sibling runs.
+//
+// `--table=NAME[,NAME...]` (or `--table=all`) instead runs the full sweeps
+// behind the paper's figures and the ablations, in parallel, and prints each
+// figure's table, CSV and tail-latency table (bench/views.cpp); it writes no
+// JSON:
+//
+//   $ ./bench_runner --table=all > bench_output.txt
 #include <sys/resource.h>
 
 #include <chrono>
@@ -22,12 +29,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/latency.hpp"
 #include "micro.hpp"
 #include "scenarios.hpp"
+#include "views.hpp"
 
 namespace {
 
@@ -191,6 +200,7 @@ void write_bench_json(std::ostream& os, const std::vector<ScenarioRun>& runs,
 int main(int argc, char** argv) {
   std::string filter;
   std::string out_path;
+  std::optional<std::string> tables;
   bool list_only = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -206,14 +216,19 @@ int main(int argc, char** argv) {
       list_only = true;
     } else if (const char* v = value("--filter")) {
       filter = v;
-    } else if (const char* v = value("--out")) {
-      out_path = v;
+    } else if (const char* path = value("--out")) {
+      out_path = path;
+    } else if (const char* names = value("--table")) {
+      tables = names;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: bench_runner [--list] [--filter=SUBSTR] [--out=FILE]\n"
+          "       bench_runner --table=NAME[,NAME...]|all\n"
           "  --list     print matching scenario names and exit\n"
           "  --filter   run only scenarios whose name contains SUBSTR\n"
-          "  --out      write the BENCH JSON here (default: stdout)\n");
+          "  --out      write the BENCH JSON here (default: stdout)\n"
+          "  --table    run the named figure/ablation sweeps and print their\n"
+          "             tables instead (no JSON)\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument '%s' (try --help)\n", arg.c_str());
@@ -221,10 +236,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (tables) return nicwarp::bench::print_tables(*tables);
+
   const std::vector<Scenario> all = nicwarp::bench::all_scenarios();
   std::vector<const Scenario*> selected;
   for (const Scenario& s : all) {
-    if (filter.empty() || s.name.find(filter) != std::string::npos) {
+    if (s.bench && (filter.empty() || s.name.find(filter) != std::string::npos)) {
       selected.push_back(&s);
     }
   }

@@ -1,10 +1,13 @@
-// Growable circular buffer — the unbounded counterpart of RingBuffer.
+// Growable circular buffer, the one ring type of the comm/NIC datapath and
+// the server job queues.
 //
-// Replaces std::deque in the comm/NIC datapath queues: one contiguous
-// power-of-two array, indices masked, geometric growth, so steady-state
-// push/pop touch no allocator at all (deque allocates/frees map nodes as the
-// queue breathes). Elements here are 8-byte PacketRefs or sequence numbers,
-// so the occasional grow-copy is trivially cheap.
+// One contiguous power-of-two array, indices masked, geometric growth, so
+// steady-state push/pop touch no allocator at all (std::deque allocates and
+// frees map nodes as the queue breathes). The ring itself never refuses a
+// push: the bounded NIC SRAM structures (the send ring, the 10-entry
+// per-object dropped-event-ID buffers of the paper's §3.2) reserve their
+// capacity up front and their owners enforce the bound, because overflow
+// there is a protocol condition the firmware must handle.
 #pragma once
 
 #include <cstddef>

@@ -33,8 +33,8 @@ bool CancelFirmware::doomed(const hw::PacketHeader& hdr, EventId* cause) const {
 bool CancelFirmware::record_drop(const hw::PacketHeader& hdr, EventId cause_anti) {
   hw::Mailbox& mb = ctx_->mailbox();
   const bool notice_full = mb.drop_notices.size() >= hw::Mailbox::kDropNoticeSoftLimit;
-  auto& ring = mb.dropped_ring(hdr.src_obj, ctx_->cost().nic_event_id_ring_slots);
-  if (notice_full || !ring.try_push(hdr.event_id)) {
+  if (notice_full ||
+      !mb.record_dropped(hdr.src_obj, hdr.event_id, ctx_->cost().nic_event_id_ring_slots)) {
     // The paper's size-10 buffer (or the notice queue) is full: the doomed
     // positive must travel and be cancelled by its anti the slow way.
     if (ctx_->trace().enabled(TraceCat::kCancel)) {

@@ -1,9 +1,7 @@
 #include "harness/table.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -72,68 +70,6 @@ std::string Table::to_csv() const {
   };
   emit(header_);
   for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-// Emits the cell as a JSON number when it parses fully as one (so "12" and
-// "3.50" stay numeric for plotting scripts) and as a string otherwise
-// ("12%" keeps its suffix).
-void json_cell(std::ostringstream& os, const std::string& cell) {
-  if (!cell.empty()) {
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (end == cell.c_str() + cell.size() && std::isfinite(v)) {
-      os << cell;  // already canonical decimal text
-      return;
-    }
-  }
-  json_escape(os, cell);
-}
-
-}  // namespace
-
-std::string Table::to_json() const {
-  std::ostringstream os;
-  os << "{\"title\":";
-  json_escape(os, title_);
-  os << ",\"rows\":[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) os << ',';
-    os << '{';
-    const auto& row = rows_[r];
-    const std::size_t n = std::min(row.size(), header_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i) os << ',';
-      json_escape(os, header_[i]);
-      os << ':';
-      json_cell(os, row[i]);
-    }
-    os << '}';
-  }
-  os << "]}";
   return os.str();
 }
 

@@ -1,5 +1,6 @@
-// Aligned console tables for the bench binaries (one table per paper
-// figure) plus CSV output for plotting.
+// Aligned console tables for the figure and ablation views
+// (bench_runner --table, one table per paper figure) plus CSV output for
+// plotting.
 #pragma once
 
 #include <string>
@@ -28,10 +29,6 @@ class Table {
 
   std::string to_string() const;  // aligned, boxed
   std::string to_csv() const;
-  // Machine-readable export: {"title":..., "rows":[{header:cell,...},...]}.
-  // Cells that parse fully as numbers are emitted as JSON numbers, the rest
-  // as strings; short rows simply omit the missing columns.
-  std::string to_json() const;
   void print() const;             // to stdout
 
  private:

@@ -13,7 +13,7 @@
 #include <deque>
 #include <unordered_map>
 
-#include "core/ring_buffer.hpp"
+#include "core/flat_ring.hpp"
 #include "core/types.hpp"
 
 namespace nicwarp::hw {
@@ -68,8 +68,8 @@ struct Mailbox {
   // it can be accessed by both the host and the NIC." NIC inserts the ids of
   // positive messages it drops; the host removes an id to suppress the
   // matching anti-message; the NIC also filters antis that raced past the
-  // host's check.
-  std::unordered_map<ObjectId, RingBuffer<EventId>> dropped_ids;
+  // host's check. record_dropped enforces the size bound.
+  std::unordered_map<ObjectId, FlatRing<EventId>> dropped_ids;
 
   // Accounting notices for every drop/filter (see DropNotice). New DROPS are
   // refused above the soft limit so that the matching anti FILTERS — which
@@ -80,12 +80,15 @@ struct Mailbox {
   static constexpr std::size_t kMaxDropNotices = 65536;
   std::deque<DropNotice> drop_notices;
 
-  RingBuffer<EventId>& dropped_ring(ObjectId obj, std::int64_t slots) {
-    auto it = dropped_ids.find(obj);
-    if (it == dropped_ids.end()) {
-      it = dropped_ids.emplace(obj, RingBuffer<EventId>(static_cast<std::size_t>(slots))).first;
-    }
-    return it->second;
+  // Records `id` as dropped for `obj`, whose buffer holds `slots` ids.
+  // Returns false, recording nothing, when that buffer is full.
+  bool record_dropped(ObjectId obj, EventId id, std::int64_t slots) {
+    const std::size_t cap = static_cast<std::size_t>(slots);
+    auto [it, created] = dropped_ids.try_emplace(obj);
+    if (created) it->second.reserve(cap);
+    if (it->second.size() >= cap) return false;
+    it->second.push_back(id);
+    return true;
   }
 
   // Returns true (and removes the entry) if `id` is recorded as dropped for

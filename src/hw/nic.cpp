@@ -23,7 +23,6 @@ Nic::Nic(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, NodeI
       pool_(pool),
       firmware_(std::move(firmware)),
       nic_cpu_(engine, "nic" + std::to_string(id) + ".cpu", &stats),
-      send_ring_(static_cast<std::size_t>(cost.nic_send_ring_slots)),
       ring_drops_(stats, "nic.ring_drops"),
       emitted_(stats, "nic.emitted"),
       retransmits_(stats, "nic.retransmits"),
@@ -34,6 +33,7 @@ Nic::Nic(sim::Engine& engine, StatsRegistry& stats, const CostModel& cost, NodeI
       retx_evicted_(stats, "nic.retx_evicted"),
       retx_timeouts_(stats, "nic.retx_timeouts") {
   NW_CHECK(firmware_ != nullptr);
+  send_ring_.reserve(static_cast<std::size_t>(cost_.nic_send_ring_slots));
   rel_tx_.resize(world_size_);
   rel_rx_.resize(world_size_);
   firmware_->attach(*this);
@@ -121,7 +121,9 @@ void Nic::finish_host_tx(PacketRef ref) {
                        TracePoint::kNicStage, hdr.negative, id_, hdr.dst,
                        hdr.event_id, send_ring_.size(), 0});
       }
-      NW_CHECK(send_ring_.try_push(ref));  // slots_in_use_ bounds the ring
+      // slots_in_use_ bounds the ring, so it never outgrows its SRAM.
+      NW_CHECK(send_ring_.size() < static_cast<std::size_t>(cost_.nic_send_ring_slots));
+      send_ring_.push_back(ref);
       pump_tx();
       break;
     case Firmware::Action::kDrop:
@@ -204,7 +206,7 @@ void Nic::pump_tx() {
     ref = ctrl_queue_.pop_front();
     stage = kWireTxCtrl;
   } else if (!send_ring_.empty()) {
-    ref = send_ring_.pop();
+    ref = send_ring_.pop_front();
     stage = kWireTxHost;
   } else {
     return;

@@ -18,7 +18,6 @@
 #include "core/entity_stats.hpp"
 #include "core/flat_ring.hpp"
 #include "core/latency.hpp"
-#include "core/ring_buffer.hpp"
 #include "core/stats.hpp"
 #include "core/types.hpp"
 #include "hw/cost_model.hpp"
@@ -166,7 +165,7 @@ class Nic final : public NicContext, private sim::Owner, private LinkClient {
   sim::Server nic_cpu_;
 
   Mailbox mailbox_;
-  RingBuffer<PacketRef> send_ring_;   // host event traffic, FIFO, bounded SRAM
+  FlatRing<PacketRef> send_ring_;     // host event traffic, FIFO, bounded SRAM
   FlatRing<PacketRef> ctrl_queue_;    // NIC-generated control traffic (priority)
   FlatRing<PacketRef> retx_queue_;    // reliability replays (top wire priority)
   std::size_t slots_in_use_{0};       // reserved + staged + on-wire host packets

@@ -1,4 +1,4 @@
-// Unit tests for src/core: RNG streams, ring buffer, config, stats, types.
+// Unit tests for src/core: RNG streams, FlatRing, config, stats, types.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -6,7 +6,7 @@
 #include <string>
 
 #include "core/config.hpp"
-#include "core/ring_buffer.hpp"
+#include "core/flat_ring.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/types.hpp"
@@ -126,37 +126,36 @@ TEST(RngTest, StableHashIsStable) {
 }
 
 // ---------------------------------------------------------------------------
-// RingBuffer
+// FlatRing
 // ---------------------------------------------------------------------------
 
-TEST(RingBufferTest, FifoOrder) {
-  RingBuffer<int> rb(4);
+TEST(FlatRingTest, FifoOrder) {
+  FlatRing<int> rb;
+  rb.reserve(4);
   EXPECT_TRUE(rb.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(rb.try_push(i));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.try_push(99));  // overflow refused, contents intact
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(rb.pop(), i);
+  EXPECT_EQ(rb.capacity(), 8u);  // rounded up to a power of two
+  for (int i = 0; i < 4; ++i) rb.push_back(i);
+  EXPECT_EQ(rb.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rb.pop_front(), i);
   EXPECT_TRUE(rb.empty());
 }
 
-TEST(RingBufferTest, WrapAround) {
-  RingBuffer<int> rb(3);
-  rb.try_push(1);
-  rb.try_push(2);
-  EXPECT_EQ(rb.pop(), 1);
-  rb.try_push(3);
-  rb.try_push(4);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.at(0), 2);
-  EXPECT_EQ(rb.at(2), 4);
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
+TEST(FlatRingTest, WrapAround) {
+  FlatRing<int> rb;
+  rb.reserve(8);
+  for (int i = 0; i < 6; ++i) rb.push_back(i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(rb.pop_front(), i);
+  for (int i = 6; i < 11; ++i) rb.push_back(i);  // indices 8..10 wrap to 0..2
+  EXPECT_EQ(rb.capacity(), 8u);
+  EXPECT_EQ(rb.at(0), 5);
+  EXPECT_EQ(rb.at(5), 10);
+  for (int i = 5; i < 11; ++i) EXPECT_EQ(rb.pop_front(), i);
+  EXPECT_TRUE(rb.empty());
 }
 
-TEST(RingBufferTest, RemoveAtPreservesOrder) {
-  RingBuffer<int> rb(5);
-  for (int i = 0; i < 5; ++i) rb.try_push(i * 10);
+TEST(FlatRingTest, RemoveAtPreservesOrder) {
+  FlatRing<int> rb;
+  for (int i = 0; i < 5; ++i) rb.push_back(i * 10);
   EXPECT_EQ(rb.remove_at(2), 20);
   EXPECT_EQ(rb.size(), 4u);
   EXPECT_EQ(rb.at(0), 0);
@@ -168,25 +167,58 @@ TEST(RingBufferTest, RemoveAtPreservesOrder) {
   EXPECT_EQ(rb.size(), 2u);
 }
 
-TEST(RingBufferTest, RemoveAtAfterWrap) {
-  RingBuffer<int> rb(3);
-  rb.try_push(1);
-  rb.try_push(2);
-  rb.try_push(3);
-  rb.pop();          // head moved
-  rb.try_push(4);    // wraps
-  EXPECT_EQ(rb.remove_at(1), 3);
+TEST(FlatRingTest, RemoveAtAfterWrap) {
+  FlatRing<int> rb;
+  for (int i = 1; i <= 8; ++i) rb.push_back(i);
+  rb.pop_front();  // head moved
+  rb.push_back(9);  // wraps
+  EXPECT_EQ(rb.remove_at(6), 8);
   EXPECT_EQ(rb.at(0), 2);
-  EXPECT_EQ(rb.at(1), 4);
+  EXPECT_EQ(rb.at(5), 7);
+  EXPECT_EQ(rb.at(6), 9);
+  EXPECT_EQ(rb.size(), 7u);
 }
 
-TEST(RingBufferTest, ClearResets) {
-  RingBuffer<int> rb(2);
-  rb.try_push(1);
+TEST(FlatRingTest, ClearResets) {
+  FlatRing<int> rb;
+  rb.push_back(1);
   rb.clear();
   EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.try_push(2));
+  rb.push_back(2);
   EXPECT_EQ(rb.front(), 2);
+  EXPECT_EQ(rb.size(), 1u);
+}
+
+TEST(FlatRingTest, GrowthWhileWrappedKeepsFifoOrder) {
+  FlatRing<int> rb;
+  for (int i = 0; i < 8; ++i) rb.push_back(i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(rb.pop_front(), i);
+  for (int i = 8; i < 13; ++i) rb.push_back(i);  // full and wrapped: head at 5
+  EXPECT_EQ(rb.capacity(), 8u);
+  rb.push_back(13);  // grows while wrapped
+  EXPECT_EQ(rb.capacity(), 16u);
+  for (int i = 5; i < 14; ++i) EXPECT_EQ(rb.pop_front(), i);
+  EXPECT_TRUE(rb.empty());
+}
+
+TEST(FlatRingTest, InsertAtKeepsOrder) {
+  FlatRing<int> rb;
+  for (int v : {10, 30, 40}) rb.push_back(v);
+  rb.insert_at(1, 20);  // middle
+  rb.insert_at(0, 0);   // front
+  rb.insert_at(rb.size(), 50);  // i == size() appends
+  ASSERT_EQ(rb.size(), 6u);
+  for (std::size_t i = 0; i < rb.size(); ++i) EXPECT_EQ(rb.at(i), static_cast<int>(i) * 10);
+  // Inserting while wrapped, then through a growth, keeps the order too.
+  for (int i = 0; i < 5; ++i) rb.pop_front();
+  for (int v : {60, 70, 90, 100, 110, 120}) rb.push_back(v);
+  rb.insert_at(3, 80);  // fills the last free slot, wrapped
+  EXPECT_EQ(rb.capacity(), 8u);
+  rb.insert_at(0, 45);  // grows
+  EXPECT_EQ(rb.capacity(), 16u);
+  ASSERT_EQ(rb.size(), 9u);
+  for (std::size_t i = 1; i < rb.size(); ++i) EXPECT_EQ(rb.at(i), 40 + static_cast<int>(i) * 10);
+  EXPECT_EQ(rb.front(), 45);
 }
 
 // ---------------------------------------------------------------------------

@@ -236,6 +236,32 @@ TEST_F(CancelUnit, DroppedPbStampedOnNextDeparture) {
   EXPECT_EQ(after.hdr.dropped_pb, 0u);
 }
 
+TEST_F(CancelUnit, FullDroppedIdBufferForwardsTheDoomedPositive) {
+  // §3.2: each object's dropped-event-ID buffer holds 10 ids. Once it is
+  // full, a doomed positive must travel and be cancelled by its anti.
+  ASSERT_EQ(ctx_.cost_.nic_event_id_ring_slots, 10);
+  hw::Packet anti = event_pkt(0, 5, 7, 100, 2000, true);
+  anti.hdr.recv_ts = VirtualTime{100};
+  fw_->on_net_rx(anti);
+  for (EventId id = 1101; id <= 1110; ++id) {
+    hw::Packet doomed = event_pkt(1, 7, 9, 150, id, false, 0);
+    ASSERT_EQ(fw_->on_host_tx(doomed).action, hw::Firmware::Action::kDrop);
+  }
+  hw::Packet eleventh = event_pkt(1, 7, 9, 150, 1111, false, 0);
+  EXPECT_EQ(fw_->on_host_tx(eleventh).action, hw::Firmware::Action::kForward);
+  EXPECT_EQ(ctx_.stats_.value("cancel.dropped_positive"), 10);
+  EXPECT_EQ(ctx_.mailbox_.drop_notices.size(), 10u);
+  EXPECT_FALSE(ctx_.mailbox_.take_dropped(7, 1111));
+
+  // The host suppressing one anti frees a slot: the next drop succeeds.
+  EXPECT_TRUE(ctx_.mailbox_.take_dropped(7, 1103));
+  hw::Packet next = event_pkt(1, 7, 9, 150, 1112, false, 0);
+  EXPECT_EQ(fw_->on_host_tx(next).action, hw::Firmware::Action::kDrop);
+  EXPECT_EQ(ctx_.stats_.value("cancel.dropped_positive"), 11);
+  EXPECT_EQ(ctx_.mailbox_.drop_notices.size(), 11u);
+  EXPECT_TRUE(ctx_.mailbox_.take_dropped(7, 1112));
+}
+
 // ---------------------------------------------------------------------------
 // GvtFirmware protocol
 // ---------------------------------------------------------------------------

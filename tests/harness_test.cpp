@@ -29,24 +29,6 @@ TEST(TableTest, CsvOutput) {
   EXPECT_EQ(t.to_csv(), "a,b\n1,2\n3,4\n");
 }
 
-TEST(TableTest, JsonOutput) {
-  Table t("Fig \"4\"");
-  t.set_header({"gvt period", "sim s"});
-  t.add_row({"100", "1.250"});
-  t.add_row({"n/a", "12%"});
-  EXPECT_EQ(t.to_json(),
-            "{\"title\":\"Fig \\\"4\\\"\","
-            "\"rows\":[{\"gvt period\":100,\"sim s\":1.250},"
-            "{\"gvt period\":\"n/a\",\"sim s\":\"12%\"}]}");
-}
-
-TEST(TableTest, JsonRaggedRowsOmitMissingColumns) {
-  Table t("T");
-  t.set_header({"a", "b"});
-  t.add_row({"1"});
-  EXPECT_EQ(t.to_json(), "{\"title\":\"T\",\"rows\":[{\"a\":1}]}");
-}
-
 TEST(TableTest, NumberFormatting) {
   EXPECT_EQ(Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::num(static_cast<std::int64_t>(-7)), "-7");

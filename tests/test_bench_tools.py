@@ -17,9 +17,17 @@ Checks:
      cannot drift apart silently;
   4. bench_trajectory.py tabulates the checked-in snapshots, tolerates
      added and dropped scenarios, and exits non-zero when two snapshots
-     disagree on a shared scenario's deterministic block.
+     disagree on a shared scenario's deterministic block;
+  5. bench_runner --list names exactly the newest checked-in snapshot's
+     scenarios, in order: points added to complete a figure's sweep stay
+     out of the BENCH run;
+  6. bench_runner --table=fig_tail prints the fig_tail table with one CSV
+     row per sweep point, and plot_figures.py renders its SVG from that
+     output;
+  7. an unknown --table name exits 2.
 """
 
+import glob
 import json
 import os
 import subprocess
@@ -33,6 +41,10 @@ COMPARE = os.path.join(REPO, "tools", "bench_compare.py")
 TRAJECTORY = os.path.join(REPO, "tools", "bench_trajectory.py")
 BASELINE = os.path.join(REPO, "bench", "baselines", "BENCH_0001.json")
 MANIFEST = os.path.join(REPO, "tools", "trace_schema.json")
+PLOT = os.path.join(REPO, "tools", "plot_figures.py")
+
+sys.path.insert(0, os.path.join(REPO, "tools"))
+from plot_figures import parse_blocks  # noqa: E402
 
 REQUIRED_METRICS = [
     "completed", "sim_seconds", "committed_events", "events_processed",
@@ -140,6 +152,37 @@ def main():
         check(r.returncode == 1, "a drifted deterministic key fails the trajectory")
         check(f"FAIL {later['scenarios'][1]['name']}" in r.stdout
               and "signature" in r.stdout, "failure names the scenario and key")
+
+        # 5. the BENCH run is exactly the newest snapshot's scenario list.
+        newest = sorted(glob.glob(os.path.join(REPO, "bench", "baselines",
+                                               "BENCH_*.json")))[-1]
+        with open(newest) as f:
+            names = [s["name"] for s in json.load(f)["scenarios"]]
+        r = run([BENCH_RUNNER, "--list"])
+        check(r.returncode == 0 and r.stdout.splitlines() == names,
+              f"bench_runner --list matches {os.path.basename(newest)} "
+              f"({len(names)} names, in order)")
+
+        # 6. a figure view prints its table and plot_figures renders it.
+        r = run([BENCH_RUNNER, "--table=fig_tail"])
+        check(r.returncode == 0, f"bench_runner --table=fig_tail (rc={r.returncode})")
+        blocks = parse_blocks(r.stdout)
+        tail = [rows for title, rows in blocks.items() if title.startswith("fig_tail")]
+        check(len(tail) == 1 and len(tail[0]) == 1 + 9,
+              "fig_tail block has a header and 9 CSV rows")
+        table_out = os.path.join(tmp, "bench_output.txt")
+        with open(table_out, "w") as f:
+            f.write(r.stdout)
+        figdir = os.path.join(tmp, "figures")
+        r = run([sys.executable, PLOT, table_out, "--outdir", figdir])
+        svg = os.path.join(figdir, "fig_tail_amplification.svg")
+        check(r.returncode == 0 and os.path.isfile(svg) and os.path.getsize(svg) > 0,
+              "plot_figures.py renders fig_tail_amplification.svg from --table output")
+
+        # 7. an unknown view name is a usage error.
+        r = run([BENCH_RUNNER, "--table=nosuch"])
+        check(r.returncode == 2 and "fig_tail" in r.stderr,
+              "--table=nosuch exits 2 and lists the valid tables")
 
     print("all bench-tool checks passed")
     return 0

@@ -1,27 +1,19 @@
 #!/usr/bin/env python3
 """Render the paper-reproduction figures as SVG.
 
-Pure standard library — no matplotlib required. Accepts either input format
-(auto-detected from content):
-
-  * bench_output.txt — concatenated stdout of the google-benchmark figure
-    binaries; each prints a CSV block after its aligned table;
-  * BENCH_<n>.json — the bench_runner regression document, whose fig4/fig5/
-    fig6/fig7 scenario groups carry the same data points.
+Pure standard library — no matplotlib required. Reads the output of
+`bench_runner --table`, which prints a CSV block after each figure's aligned
+table.
 
 Usage:
-    for b in build/bench/bench_fig*; do $b; done > bench_output.txt
+    build/bench/bench_runner --table=all > bench_output.txt
     python3 tools/plot_figures.py bench_output.txt --outdir figures
-    # or, from the regression runner:
-    build/bench/bench_runner --filter=fig --out=BENCH_0002.json
-    python3 tools/plot_figures.py BENCH_0002.json --outdir figures
 """
 
 from __future__ import annotations
 
 import argparse
 import html
-import json
 import math
 import os
 import re
@@ -57,114 +49,6 @@ def parse_blocks(text: str) -> dict[str, list[list[str]]]:
 
 def numeric(cell: str) -> float:
     return float(cell.rstrip("%"))
-
-
-def blocks_from_bench(doc: dict) -> dict[str, list[list[str]]]:
-    """Builds the same {title: CSV rows} dict from a BENCH_<n>.json document,
-    using its fig4/fig5/fig6/fig7 scenario groups. Titles and column layouts
-    mirror the figure binaries so the FIGURES specs below apply unchanged."""
-    # group -> x value -> variant -> deterministic metrics
-    points: dict[str, dict[float, dict[str, dict]]] = defaultdict(
-        lambda: defaultdict(dict))
-    # fig_tail is keyed variant-first: variant -> loss% -> deterministic
-    tail: dict[str, dict[float, dict]] = defaultdict(dict)
-    for s in doc.get("scenarios", []):
-        parts = s["name"].split("/")
-        if len(parts) != 3:
-            continue
-        group, variant, axis = parts
-        if group == "fig_tail":
-            # axis is "loss:0.5%" — a percentage label, not a bare float
-            tail[variant][numeric(axis.split(":", 1)[1])] = s["deterministic"]
-            continue
-        if group not in ("fig4", "fig5", "fig6", "fig7"):
-            continue
-        x = float(axis.split(":", 1)[1])
-        points[group][x][variant] = s["deterministic"]
-
-    def rows(group, header, make_row, need=("warped",)):
-        out = [header]
-        for x in sorted(points.get(group, {})):
-            variants = points[group][x]
-            if any(v not in variants for v in need):
-                continue
-            out.append([f"{c:g}" if isinstance(c, float) else str(c)
-                        for c in make_row(x, variants)])
-        return out if len(out) > 1 else None
-
-    def improvement(base_s, cancel_s):
-        return 100.0 * (base_s - cancel_s) / base_s if base_s > 0 else 0.0
-
-    blocks = {}
-
-    def put(title, block):
-        if block:
-            blocks[title] = block
-
-    for group, fig in (("fig4", "Fig. 4 — RAID"), ("fig5", "Fig. 5a — POLICE")):
-        put(f"{fig} execution time vs GVT period",
-            rows(group, ["period", "warped_s", "nicgvt_s"],
-                 lambda x, v: [x, v["warped"]["sim_seconds"],
-                               v["nicgvt"]["sim_seconds"]],
-                 need=("warped", "nicgvt")))
-    put("Fig. 5b — GVT rounds vs GVT period",
-        rows("fig5", ["period", "warped_rounds", "nicgvt_rounds"],
-             lambda x, v: [x, v["warped"]["gvt_rounds"],
-                           v["nicgvt"]["gvt_rounds"]],
-             need=("warped", "nicgvt")))
-    for group, x_name, fig_a, fig_b in (
-            ("fig6", "requests", "Fig. 6a — RAID improvement",
-             "Fig. 6b — RAID messages sent"),
-            ("fig7", "stations", "Fig. 7a — POLICE improvement", None)):
-        put(fig_a,
-            rows(group, [x_name, "baseline_s", "cancel_s", "improvement"],
-                 lambda x, v: [x, v["warped"]["sim_seconds"],
-                               v["cancel"]["sim_seconds"],
-                               improvement(v["warped"]["sim_seconds"],
-                                           v["cancel"]["sim_seconds"])],
-                 need=("warped", "cancel")))
-        if fig_b:
-            put(fig_b,
-                rows(group, [x_name, "warped_msgs", "cancel_msgs"],
-                     lambda x, v: [x, v["warped"]["wire_packets"],
-                                   v["cancel"]["wire_packets"]],
-                     need=("warped", "cancel")))
-    put("Fig. 7b — percentage of cancelled messages dropped by the NIC",
-        rows("fig7", ["stations", "antis", "dropped", "filtered", "pct"],
-             lambda x, v: [x, v["cancel"]["antis_generated"],
-                           v["cancel"]["nic_drops"],
-                           v["cancel"]["filtered_antis"],
-                           (100.0 * v["cancel"]["nic_drops"] /
-                            v["cancel"]["antis_generated"])
-                           if v["cancel"]["antis_generated"] else 0.0],
-             need=("cancel",)))
-    put("Fig. 8 — POLICE overall messages generated",
-        rows("fig7", ["stations", "warped_msgs", "cancel_msgs"],
-             lambda x, v: [x, v["warped"]["event_msgs_generated"],
-                           v["cancel"]["event_msgs_generated"]],
-             need=("warped", "cancel")))
-    if tail:
-        # Same column layout as bench_fig_tail's own CSV block, so the
-        # fig_tail FIGURES spec applies to either input format unchanged.
-        trows = [["variant", "loss", "msg_p50", "msg_p999", "msg_amp",
-                  "commit_p999", "commit_amp", "retransmits"]]
-        for variant in sorted(tail):
-            series = tail[variant]
-            base = series.get(0.0, {}).get("lat_delivery_us", {}).get("p999", 0.0)
-            cbase = series.get(0.0, {}).get("lat_commit_us", {}).get("p999", 0.0)
-            for x in sorted(series):
-                d = series[x].get("lat_delivery_us", {})
-                c = series[x].get("lat_commit_us", {})
-                trows.append([str(cell) for cell in [
-                    variant, f"{x:g}%",
-                    f"{d.get('p50', 0.0):g}", f"{d.get('p999', 0.0):g}",
-                    f"{d.get('p999', 0.0) / base if base else 0.0:g}",
-                    f"{c.get('p999', 0.0):g}",
-                    f"{c.get('p999', 0.0) / cbase if cbase else 0.0:g}",
-                    series[x].get("retransmits", 0)]])
-        if len(trows) > 1:
-            blocks["fig_tail — p99.9 amplification vs fault rate (modeled us)"] = trows
-    return blocks
 
 
 # ----------------------------------------------------------------------------
@@ -351,26 +235,12 @@ FIGURES = [
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("input", help="bench_output.txt (concatenated bench stdout)")
+    ap.add_argument("input", help="bench_output.txt (bench_runner --table output)")
     ap.add_argument("--outdir", default="figures")
     args = ap.parse_args()
 
     with open(args.input, encoding="utf-8") as f:
-        text = f.read()
-    doc = None
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            doc = None
-    if isinstance(doc, dict) and doc.get("type") == "nicwarp-bench":
-        blocks = blocks_from_bench(doc)
-        if not blocks:
-            print("no fig4/fig5/fig6/fig7 scenarios in this BENCH document",
-                  file=sys.stderr)
-            return 1
-    else:
-        blocks = parse_blocks(text)
+        blocks = parse_blocks(f.read())
     if not blocks:
         print("no CSV blocks found — is this really bench output?", file=sys.stderr)
         return 1
